@@ -90,6 +90,21 @@ func BenchmarkTopKSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeSearch queries one stored trajectory's MBR, the window
+// shape the repository benchmark's range workload uses: most scanned rows
+// are rejected by the pushed-down filter, so it tracks filter cost.
+func BenchmarkRangeSearch(b *testing.B) {
+	db, data := newBenchDB(b)
+	window := data[123].MBR()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.RangeSearch(window); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPut(b *testing.B) {
 	db, err := trass.Open(b.TempDir())
 	if err != nil {

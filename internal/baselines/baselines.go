@@ -59,18 +59,16 @@ func IsUnsupported(err error) bool {
 // verify computes the full measure for each candidate id and keeps those
 // within eps, sorted by distance.
 func verify(measure dist.Measure, data map[string]*traj.Trajectory, q *traj.Trajectory, ids []string, eps float64) []Result {
-	within := dist.WithinFor(measure)
-	full := dist.For(measure)
+	bounded := dist.BoundedFor(measure)
 	var out []Result
 	for _, id := range ids {
 		t := data[id]
 		if t == nil {
 			continue
 		}
-		if !within(q.Points, t.Points, eps) {
-			continue
+		if d := bounded(q.Points, t.Points, eps); d <= eps {
+			out = append(out, Result{ID: id, Distance: d})
 		}
-		out = append(out, Result{ID: id, Distance: full(q.Points, t.Points)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out

@@ -146,18 +146,16 @@ func (j *JUST) Threshold(q *traj.Trajectory, eps float64) ([]Result, *Stats, err
 	stats.Candidates = res.RowsReturned
 
 	t1 := time.Now()
-	within := dist.WithinFor(j.measure)
-	full := dist.For(j.measure)
+	bounded := dist.BoundedFor(j.measure)
 	var out []Result
 	for _, e := range res.Entries {
 		rec, err := traj.DecodeRecord(e.Value)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !within(q.Points, rec.Points, eps) {
-			continue
+		if d := bounded(q.Points, rec.Points, eps); d <= eps {
+			out = append(out, Result{ID: rec.ID, Distance: d})
 		}
-		out = append(out, Result{ID: rec.ID, Distance: full(q.Points, rec.Points)})
 	}
 	stats.RefineTime = time.Since(t1)
 	sortResults(out)

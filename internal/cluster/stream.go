@@ -235,7 +235,10 @@ type regionStreamState struct {
 // resumeClip narrows rng to start just past the last delivered key. The
 // second result is false when the range is entirely behind the resume point.
 func (st *regionStreamState) resumeClip(rng KeyRange) (KeyRange, bool) {
-	if !st.haveLast {
+	// A range starting past lastKey holds nothing delivered: no clip, and no
+	// successor key to build. A region's ranges are sorted and disjoint, so
+	// that is every range after the one that held lastKey.
+	if !st.haveLast || (rng.Start != nil && bytes.Compare(rng.Start, st.lastKey) > 0) {
 		return rng, true
 	}
 	// The smallest possible key strictly greater than lastKey.

@@ -71,6 +71,26 @@ func WithinFor(m Measure) WithinFunc {
 	}
 }
 
+// BoundedFunc returns f(Q,T) when it is at most eps and +Inf otherwise. It
+// runs the early-abandoning DP once: the value it returns is bit-identical
+// to the full distance, so refinement needs no second computation. Empty
+// inputs are never within any bound.
+type BoundedFunc func(q, t []geo.Point, eps float64) float64
+
+// BoundedFor returns the bounded distance function for m.
+func BoundedFor(m Measure) BoundedFunc {
+	switch m {
+	case Frechet:
+		return FrechetBounded
+	case Hausdorff:
+		return HausdorffBounded
+	case DTW:
+		return DTWBounded
+	default:
+		panic("dist: unknown measure")
+	}
+}
+
 // SupportsEndpointLemma reports whether Lemma 12 (start/end points must match
 // within eps) holds for m. It holds for Fréchet and DTW but not Hausdorff
 // (Section VII-A).
@@ -119,18 +139,26 @@ func DiscreteFrechet(q, t []geo.Point) float64 {
 }
 
 // FrechetWithin reports whether the discrete Fréchet distance between q and t
-// is at most eps. It runs the same DP but clamps infeasible cells and
-// abandons as soon as an entire row becomes infeasible.
+// is at most eps.
 func FrechetWithin(q, t []geo.Point, eps float64) bool {
+	return !math.IsInf(FrechetBounded(q, t, eps), 1)
+}
+
+// FrechetBounded is the discrete Fréchet distance when it is at most eps, and
+// +Inf otherwise. It runs DiscreteFrechet's DP but clamps cells above eps to
+// +Inf and abandons as soon as an entire row is infeasible. A cell whose
+// true value is at most eps has a predecessor at most eps, which by
+// induction is exact, so such cells equal DiscreteFrechet's bit for bit.
+func FrechetBounded(q, t []geo.Point, eps float64) float64 {
 	n, m := len(q), len(t)
+	inf := math.Inf(1)
 	if n == 0 || m == 0 {
-		return false
+		return inf
 	}
 	// Cheap necessary conditions first (Lemma 12).
 	if q[0].Dist(t[0]) > eps || q[n-1].Dist(t[m-1]) > eps {
-		return false
+		return inf
 	}
-	inf := math.Inf(1)
 	row := make([]float64, m)
 	row[0] = q[0].Dist(t[0])
 	if row[0] > eps {
@@ -171,10 +199,10 @@ func FrechetWithin(q, t []geo.Point, eps float64) bool {
 			row[j] = d
 		}
 		if !feasible {
-			return false
+			return inf
 		}
 	}
-	return !math.IsInf(row[m-1], 1)
+	return row[m-1]
 }
 
 // HausdorffDist computes the symmetric Hausdorff distance between q and t.
@@ -209,13 +237,26 @@ func directedHausdorff(a, b []geo.Point, bound float64) float64 {
 
 // HausdorffWithin reports whether the Hausdorff distance is at most eps.
 func HausdorffWithin(q, t []geo.Point, eps float64) bool {
+	return !math.IsInf(HausdorffBounded(q, t, eps), 1)
+}
+
+// HausdorffBounded is the Hausdorff distance when it is at most eps, and +Inf
+// otherwise: the two bounded directed passes either abandon or return
+// exactly what HausdorffDist's unbounded passes return.
+func HausdorffBounded(q, t []geo.Point, eps float64) float64 {
+	inf := math.Inf(1)
 	if len(q) == 0 || len(t) == 0 {
-		return false
+		return inf
 	}
-	if directedHausdorff(q, t, eps) > eps {
-		return false
+	a := directedHausdorff(q, t, eps)
+	if a > eps {
+		return inf
 	}
-	return directedHausdorff(t, q, eps) <= eps
+	b := directedHausdorff(t, q, eps)
+	if b > eps {
+		return inf
+	}
+	return math.Max(a, b)
 }
 
 // DTWDist computes the Dynamic Time Warping distance (sum of matched
@@ -242,13 +283,20 @@ func DTWDist(q, t []geo.Point) float64 {
 	return row[m-1]
 }
 
-// DTWWithin reports whether the DTW distance is at most eps. Because DTW
-// accumulates, a row whose minimum already exceeds eps proves the whole
-// distance does.
+// DTWWithin reports whether the DTW distance is at most eps.
 func DTWWithin(q, t []geo.Point, eps float64) bool {
+	return !math.IsInf(DTWBounded(q, t, eps), 1)
+}
+
+// DTWBounded is the DTW distance when it is at most eps, and +Inf otherwise.
+// It runs DTWDist's DP unchanged, so a value it returns is DTWDist's bit for
+// bit. Because DTW accumulates, a row whose minimum already exceeds eps
+// proves the whole distance does.
+func DTWBounded(q, t []geo.Point, eps float64) float64 {
 	n, m := len(q), len(t)
+	inf := math.Inf(1)
 	if n == 0 || m == 0 {
-		return false
+		return inf
 	}
 	row := make([]float64, m)
 	row[0] = q[0].Dist(t[0])
@@ -268,8 +316,11 @@ func DTWWithin(q, t []geo.Point, eps float64) bool {
 			}
 		}
 		if rowMin > eps {
-			return false
+			return inf
 		}
 	}
-	return row[m-1] <= eps
+	if row[m-1] > eps {
+		return inf
+	}
+	return row[m-1]
 }

@@ -268,9 +268,56 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestBoundedMatchesFull pins the bounded form of every measure to its full
+// distance d: at eps = +Inf and eps = d it returns d bit for bit, and one ulp
+// below d it returns +Inf.
+func TestBoundedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, m := range []Measure{Frechet, Hausdorff, DTW} {
+		full, bounded := For(m), BoundedFor(m)
+		t.Run(m.String(), func(t *testing.T) {
+			for i := 0; i < 300; i++ {
+				q := randomWalk(rng, 1+rng.Intn(40))
+				tr := randomWalk(rng, 1+rng.Intn(40))
+				if i%3 == 0 {
+					// Near-duplicates: the final cell decides, not an early abandon.
+					tr = append([]geo.Point(nil), q...)
+					for j := range tr {
+						tr[j].X += (rng.Float64() - 0.5) * 1e-3
+					}
+				}
+				d := full(q, tr)
+				cases := []struct {
+					name string
+					eps  float64
+					want float64
+				}{
+					{"+Inf", math.Inf(1), d},
+					{"d", d, d},
+					{"below d", math.Nextafter(d, 0), math.Inf(1)},
+				}
+				for _, c := range cases {
+					if c.name == "below d" && d == 0 {
+						continue // nothing lies below a zero distance
+					}
+					got := bounded(q, tr, c.eps)
+					if math.Float64bits(got) != math.Float64bits(c.want) {
+						t.Fatalf("pair %d, eps = %s (%v): got %v, want %v", i, c.name, c.eps, got, c.want)
+					}
+				}
+			}
+		})
+	}
+	a := pts(0, 0)
+	if !math.IsInf(FrechetBounded(nil, a, 10), 1) || !math.IsInf(HausdorffBounded(a, nil, 10), 1) ||
+		!math.IsInf(DTWBounded(nil, nil, 10), 1) {
+		t.Error("empty inputs must be +Inf at any bound")
+	}
+}
+
 func TestMeasurePlumbing(t *testing.T) {
 	for _, m := range []Measure{Frechet, Hausdorff, DTW} {
-		if For(m) == nil || WithinFor(m) == nil {
+		if For(m) == nil || WithinFor(m) == nil || BoundedFor(m) == nil {
 			t.Fatalf("nil func for %v", m)
 		}
 		if m.String() == "unknown" {

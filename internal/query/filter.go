@@ -3,22 +3,27 @@ package query
 import (
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/geo"
-	"repro/internal/store"
 	"repro/internal/traj"
 )
 
 // Local filtering (Section V-D, Algorithm 2). Each check is a sound
 // necessary condition for f(Q,T) <= eps; any failure proves dissimilarity.
-// Checks run cheapest-first, as the paper prescribes.
+// Checks run cheapest-first, as the paper prescribes. Every check reads the
+// stored row through a traj.RowView, so a rejected row is never decoded.
 
-// localFilter evaluates Lemmas 12-14 for a stored record against the query.
-// It returns false when the record provably cannot be within eps.
-func localFilter(qg *queryGeom, measure dist.Measure, rec *traj.Record, eps float64) bool {
+// filterScratch is the stack capacity for one row's decoded feature boxes
+// and representative points. Stored rows carry a handful of each, so a
+// filter allocates only for the rare row that carries more.
+const filterScratch = 32
+
+// localFilter evaluates Lemmas 12-14 for a stored row against the query.
+// It returns false when the row provably cannot be within eps.
+func localFilter(qg *queryGeom, measure dist.Measure, v *traj.RowView, eps float64) bool {
 	qpts := qg.points
-	tpts := rec.Points
-	if len(tpts) == 0 {
+	if v.Len() == 0 {
 		return false
 	}
 	if math.IsInf(eps, 1) {
@@ -28,32 +33,41 @@ func localFilter(qg *queryGeom, measure dist.Measure, rec *traj.Record, eps floa
 
 	// Lemma 12: endpoints must match within eps (Fréchet and DTW only).
 	if dist.SupportsEndpointLemma(measure) {
-		if qpts[0].Dist(tpts[0]) > eps {
+		if qpts[0].Dist(v.First()) > eps {
 			return false
 		}
-		if qpts[len(qpts)-1].Dist(tpts[len(tpts)-1]) > eps {
+		if qpts[len(qpts)-1].Dist(v.Last()) > eps {
 			return false
 		}
 	}
 
+	var boxBuf [filterScratch]geo.Rect
+	boxes := v.AppendBoxes(boxBuf[:0])
+	// Only a single-point row has no boxes; its raw points stand in for them.
+	var tpts []geo.Point
+	var ptBuf [filterScratch]geo.Point
+	if len(boxes) == 0 {
+		tpts = v.AppendPoints(ptBuf[:0])
+	}
+
 	// Lemma 13, query side: every representative point of Q must be within
 	// eps of T's feature boxes (which cover all of T).
-	if !pointsNearBoxes(qg.rep, rec.Features.Boxes, tpts, eps) {
+	if !pointsNearBoxes(qg.rep, boxes, tpts, eps) {
 		return false
 	}
 	// Lemma 13, data side: every representative point of T within eps of
 	// Q's boxes.
-	trep := repPointsOf(rec)
-	if !pointsNearBoxes(trep, qg.features.Boxes, qpts, eps) {
+	var repBuf [filterScratch]geo.Point
+	if !pointsNearBoxes(v.AppendRepPoints(repBuf[:0]), qg.features.Boxes, qpts, eps) {
 		return false
 	}
 
 	// Lemma 14, both sides: every feature box's guaranteed point (one per
 	// edge) must reach the other side's boxes within eps.
-	if !boxesNearBoxes(qg.features.Boxes, rec.Features.Boxes, tpts, eps) {
+	if !boxesNearBoxes(qg.features.Boxes, boxes, tpts, eps) {
 		return false
 	}
-	if !boxesNearBoxes(rec.Features.Boxes, qg.features.Boxes, qpts, eps) {
+	if !boxesNearBoxes(boxes, qg.features.Boxes, qpts, eps) {
 		return false
 	}
 	return true
@@ -103,18 +117,6 @@ func boxesNearBoxes(a, b []geo.Rect, bFallback []geo.Point, eps float64) bool {
 	return true
 }
 
-// repPointsOf materializes a stored record's representative points, tolerating
-// out-of-range indexes from corrupt rows by skipping them.
-func repPointsOf(rec *traj.Record) []geo.Point {
-	out := make([]geo.Point, 0, len(rec.Features.PointIdx))
-	for _, idx := range rec.Features.PointIdx {
-		if idx >= 0 && idx < len(rec.Points) {
-			out = append(out, rec.Points[idx])
-		}
-	}
-	return out
-}
-
 func distToPoints(p geo.Point, pts []geo.Point) float64 {
 	best := math.Inf(1)
 	for _, q := range pts {
@@ -135,18 +137,38 @@ func distSegToPoints(s geo.Segment, pts []geo.Point) float64 {
 	return best
 }
 
-// serverFilter builds the coprocessor push-down: decode the row, run the
-// local filter. Rows that fail never leave the region server.
-func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, value []byte) bool {
-	return func(key, value []byte) bool {
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			// A row we cannot decode is surfaced rather than silently
-			// dropped: ship it and let the client-side decode report the
-			// corruption.
+// rowFilter is a push-down predicate over a validated row. It takes the
+// view by value: the storage layer calls filters through a func value, and
+// a pointer passed that way would move every row's view to the heap.
+type rowFilter func(v traj.RowView) bool
+
+// pushDown composes the storage filter from a time window and a row filter.
+// It validates each row once through a traj.RowView, then runs the time
+// check and f. A row the view cannot read ships, so that the client-side
+// decode reports the corruption rather than the scan dropping the row. With
+// no filter and an unbounded window there is nothing to push down.
+func pushDown(w TimeWindow, f rowFilter) cluster.Filter {
+	if f == nil && w.Unbounded() {
+		return nil
+	}
+	return func(_, value []byte) bool {
+		var v traj.RowView
+		if v.Reset(value) != nil {
 			return true
 		}
-		return localFilter(qg, measure, rec, eps)
+		// TimeBounds walks the timestamps; an unbounded window skips it.
+		if !w.Unbounded() && !w.admits(v.TimeBounds()) {
+			return false
+		}
+		return f == nil || f(v)
+	}
+}
+
+// serverFilter is the coprocessor push-down of Lemmas 12-14: rows that fail
+// never leave the region server.
+func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFilter {
+	return func(v traj.RowView) bool {
+		return localFilter(qg, measure, &v, eps)
 	}
 }
 
@@ -157,40 +179,31 @@ func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, va
 // bound only tightens, and localFilter rejections are lower-bound proofs, so
 // any row that belongs in the final top-k passes at every bound the scan
 // could observe.
-func serverFilterLive(qg *queryGeom, measure dist.Measure, bound *refineBound) func(key, value []byte) bool {
-	return func(key, value []byte) bool {
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			return true // ship corrupt rows; the client-side decode reports them
-		}
-		return localFilter(qg, measure, rec, bound.get())
+func serverFilterLive(qg *queryGeom, measure dist.Measure, bound *refineBound) rowFilter {
+	return func(v traj.RowView) bool {
+		return localFilter(qg, measure, &v, bound.get())
 	}
 }
 
 // endpointOnlyFilter is the reduced push-down of the ablation study and of
-// JUST-style systems: Lemma 12 only.
-func endpointOnlyFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, value []byte) bool {
-	supports := dist.SupportsEndpointLemma(measure)
-	return func(key, value []byte) bool {
-		if !supports {
-			return true
-		}
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			return true
-		}
-		if len(rec.Points) == 0 {
+// JUST-style systems: Lemma 12 only, so nothing for Hausdorff.
+func endpointOnlyFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFilter {
+	if !dist.SupportsEndpointLemma(measure) {
+		return nil
+	}
+	return func(v traj.RowView) bool {
+		if v.Len() == 0 {
 			return false
 		}
-		if qg.points[0].Dist(rec.Points[0]) > eps {
+		if qg.points[0].Dist(v.First()) > eps {
 			return false
 		}
-		return qg.points[len(qg.points)-1].Dist(rec.Points[len(rec.Points)-1]) <= eps
+		return qg.points[len(qg.points)-1].Dist(v.Last()) <= eps
 	}
 }
 
 // buildFilter selects the push-down according to the engine's tuning.
-func (e *Engine) buildFilter(qg *queryGeom, eps float64) func(key, value []byte) bool {
+func (e *Engine) buildFilter(qg *queryGeom, eps float64) rowFilter {
 	switch {
 	case e.tuning.DisableLocalFilter:
 		return nil

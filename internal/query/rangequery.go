@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/kv"
-	"repro/internal/store"
 	"repro/internal/traj"
 )
 
@@ -57,36 +56,9 @@ func (e *Engine) rangeImpl(ctx context.Context, window geo.Rect, w TimeWindow, s
 		return nil, stats, nil
 	}
 
-	filter := func(key, value []byte) bool {
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			return true // surface corruption at the client decode
-		}
-		// Cheap feature-box prefilter: a point inside the window requires
-		// its covering box to intersect the window.
-		if len(rec.Features.Boxes) > 0 {
-			hit := false
-			for _, b := range rec.Features.Boxes {
-				if b.Intersects(window) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return false
-			}
-		}
-		for _, p := range rec.Points {
-			if window.ContainsPoint(p) {
-				return true
-			}
-		}
-		return false
-	}
-
-	wrapped := wrapWithWindow(w, filter)
+	filter := pushDown(w, rangeFilter(window))
 	scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-		return snap.ScanRangesStream(sctx, ranges, wrapped, 0, e.streamOptions(false), emit)
+		return snap.ScanRangesStream(sctx, ranges, filter, 0, e.streamOptions(false), emit)
 	}
 
 	// Range results carry no distance; refinement here is the client-side
@@ -112,4 +84,27 @@ func (e *Engine) rangeImpl(ctx context.Context, window geo.Rect, w TimeWindow, s
 	}
 	stats.Results = nres
 	return finishKeyed(out), stats, nil
+}
+
+// rangeFilter is the range query's push-down: a point inside the window
+// requires its covering feature box to intersect the window, so the boxes
+// reject cheaply before the exact walk over the points.
+func rangeFilter(window geo.Rect) rowFilter {
+	return func(v traj.RowView) bool {
+		var boxBuf [filterScratch]geo.Rect
+		boxes := v.AppendBoxes(boxBuf[:0])
+		if len(boxes) > 0 {
+			hit := false
+			for _, b := range boxes {
+				if b.Intersects(window) {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				return false
+			}
+		}
+		return v.AnyPointIn(window)
+	}
 }

@@ -63,21 +63,18 @@ func (e *Engine) thresholdImpl(ctx context.Context, q *traj.Trajectory, eps floa
 		return nil, stats, nil
 	}
 
-	filter := wrapWithWindow(w, e.buildFilter(qg, eps))
+	filter := pushDown(w, e.buildFilter(qg, eps))
 	scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 		return snap.ScanRangesStream(sctx, ranges, filter, 0, e.streamOptions(false), emit)
 	}
 
-	within := dist.WithinFor(e.measure)
-	full := dist.For(e.measure)
+	bounded := dist.BoundedFor(e.measure)
 	var out []keyedResult
 	nres := 0
 	err = e.runPipeline(ctx, stats, scan,
 		func(rec *traj.Record) refineOutcome {
-			if !within(qg.points, rec.Points, eps) {
-				return refineOutcome{}
-			}
-			return refineOutcome{rec: rec, dist: full(qg.points, rec.Points), keep: true}
+			d := bounded(qg.points, rec.Points, eps)
+			return refineOutcome{rec: rec, dist: d, keep: d <= eps}
 		},
 		func(o refineOutcome) error {
 			if !o.keep {

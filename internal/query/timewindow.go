@@ -19,14 +19,11 @@ type TimeWindow struct {
 // Unbounded reports whether the window constrains nothing.
 func (w TimeWindow) Unbounded() bool { return w.Start == 0 && w.End == 0 }
 
-// admits reports whether a record overlaps the window. Untimed trajectories
-// always qualify: absence of timestamps must not silently hide data.
-func (w TimeWindow) admits(rec *traj.Record) bool {
-	if w.Unbounded() {
-		return true
-	}
-	min, max, ok := rec.TimeBounds()
-	if !ok {
+// admits reports whether a trajectory with the given timestamp range, as
+// TimeBounds returns it, overlaps the window. Untimed trajectories always
+// qualify: absence of timestamps must not silently hide data.
+func (w TimeWindow) admits(min, max int64, timed bool) bool {
+	if w.Unbounded() || !timed {
 		return true
 	}
 	if w.Start != 0 && max < w.Start {
@@ -36,28 +33,6 @@ func (w TimeWindow) admits(rec *traj.Record) bool {
 		return false
 	}
 	return true
-}
-
-// wrapWithWindow composes a time predicate around a spatial push-down
-// filter. A nil inner filter yields a pure time filter; an unbounded window
-// returns the inner filter unchanged.
-func wrapWithWindow(w TimeWindow, inner func(key, value []byte) bool) func(key, value []byte) bool {
-	if w.Unbounded() {
-		return inner
-	}
-	return func(key, value []byte) bool {
-		rec, err := traj.DecodeRecord(value)
-		if err != nil {
-			return true // surface corruption at the client decode
-		}
-		if !w.admits(rec) {
-			return false
-		}
-		if inner == nil {
-			return true
-		}
-		return inner(key, value)
-	}
 }
 
 // ThresholdWindow is Threshold restricted to trajectories overlapping the

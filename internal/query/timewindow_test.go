@@ -64,7 +64,7 @@ func (f *timedFixture) bruteThresholdWindow(q *traj.Trajectory, eps float64, w T
 	out := map[string]bool{}
 	for _, tr := range f.trajs {
 		rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-		if !w.admits(rec) {
+		if !w.admits(rec.TimeBounds()) {
 			continue
 		}
 		if dist.DiscreteFrechet(q.Points, tr.Points) <= eps {
@@ -120,7 +120,7 @@ func TestTopKWindowMatchesBruteForce(t *testing.T) {
 		var ds []float64
 		for _, tr := range f.trajs {
 			rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-			if !w.admits(rec) {
+			if !w.admits(rec.TimeBounds()) {
 				continue
 			}
 			ds = append(ds, dist.DiscreteFrechet(q.Points, tr.Points))
@@ -151,7 +151,7 @@ func TestRangeWindow(t *testing.T) {
 	want := 0
 	for _, tr := range f.trajs {
 		rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-		if (TimeWindow{End: daySecs - 1}).admits(rec) {
+		if (TimeWindow{End: daySecs - 1}).admits(rec.TimeBounds()) {
 			want++
 		}
 	}
@@ -179,7 +179,7 @@ func TestTimeWindowSemantics(t *testing.T) {
 		{TimeWindow{Start: 1, End: 4}, &traj.Record{ID: "u", Points: make([]geo.Point, 2)}, true}, // untimed
 	}
 	for i, tc := range cases {
-		if got := tc.w.admits(tc.rec); got != tc.admit {
+		if got := tc.w.admits(tc.rec.TimeBounds()); got != tc.admit {
 			t.Errorf("case %d: admits = %v, want %v", i, got, tc.admit)
 		}
 	}

@@ -73,8 +73,7 @@ func (e *Engine) topK(ctx context.Context, q *traj.Trajectory, k int, w TimeWind
 	}
 	stats.PruneTime += time.Since(t0)
 
-	within := dist.WithinFor(e.measure)
-	full := dist.For(e.measure)
+	bounded := dist.BoundedFor(e.measure)
 
 	// The kth-distance bound is shared across the whole query: the merge loop
 	// tightens it after every insertion, workers read it for early-abandoning
@@ -86,7 +85,7 @@ func (e *Engine) topK(ctx context.Context, q *traj.Trajectory, k int, w TimeWind
 	// bound no tighter than the final kth distance — so results are identical
 	// for any interleaving (see stream.go).
 	bound := newRefineBound(math.Inf(1))
-	filter := wrapWithWindow(w, serverFilterLive(qg, e.measure, bound))
+	filter := pushDown(w, serverFilterLive(qg, e.measure, bound))
 
 	scanSpace := func(sc spaceCand) error {
 		stats.Ranges++
@@ -102,10 +101,8 @@ func (e *Engine) topK(ctx context.Context, q *traj.Trajectory, k int, w TimeWind
 		return e.runPipeline(ctx, stats, scan,
 			func(rec *traj.Record) refineOutcome {
 				b := bound.get()
-				if !math.IsInf(b, 1) && !within(qg.points, rec.Points, b) {
-					return refineOutcome{}
-				}
-				return refineOutcome{rec: rec, dist: full(qg.points, rec.Points), keep: true}
+				d := bounded(qg.points, rec.Points, b)
+				return refineOutcome{rec: rec, dist: d, keep: d <= b}
 			},
 			func(o refineOutcome) error {
 				if !o.keep {
