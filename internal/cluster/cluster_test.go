@@ -136,6 +136,66 @@ func TestScanMultipleRanges(t *testing.T) {
 	}
 }
 
+// TestScanOverlappingRangesShipEachRowOnce: a request whose ranges overlap,
+// arrive unsorted and span the split key must ship every covered row exactly
+// once, in key order — the scan coalesces the ranges before any region reads
+// them. The caller's range slice must not be reordered.
+func TestScanOverlappingRangesShipEachRowOnce(t *testing.T) {
+	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
+	loadRows(t, c, 1000)
+	k := func(i int) []byte { return []byte(fmt.Sprintf("row%05d", i)) }
+	ranges := []KeyRange{
+		{Start: k(495), End: k(505)},
+		{Start: k(100), End: k(120)},
+		{Start: k(490), End: k(510)},
+		{Start: k(110), End: k(130)},
+		{Start: k(110), End: k(130)}, // duplicate
+		{Start: k(800), End: k(800)}, // empty
+		{Start: k(125), End: k(126)}, // nested
+		{Start: k(130), End: k(135)}, // touches the coalesced [100, 130)
+		{Start: k(990), End: nil},    // open end
+	}
+	orig := append([]KeyRange(nil), ranges...)
+	var want []string
+	for i := 0; i < 1000; i++ {
+		if (i >= 100 && i < 135) || (i >= 490 && i < 510) || i >= 990 {
+			want = append(want, string(k(i)))
+		}
+	}
+
+	res, err := c.Scan(context.Background(), ScanRequest{Ranges: ranges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range res.Entries {
+		got = append(got, string(e.Key))
+	}
+	if !equalStrings(got, want) {
+		t.Fatalf("Scan returned %d entries, want each of %d rows once", len(got), len(want))
+	}
+	if res.RowsScanned != int64(len(want)) || res.RowsReturned != int64(len(want)) {
+		t.Fatalf("scanned %d, shipped %d rows; want %d each", res.RowsScanned, res.RowsReturned, len(want))
+	}
+	if res.RPCs != 2 {
+		t.Fatalf("RPCs = %d, want one per region", res.RPCs)
+	}
+
+	sc := &streamCollect{}
+	if _, err := c.ScanStream(context.Background(),
+		StreamRequest{ScanRequest: ScanRequest{Ranges: ranges}, BatchRows: 7, Ordered: true}, sc.emit); err != nil {
+		t.Fatal(err)
+	}
+	if !equalStrings(sc.entries, want) {
+		t.Fatalf("ordered stream delivered %d rows, want each of %d once in key order", len(sc.entries), len(want))
+	}
+	for i := range ranges {
+		if !bytes.Equal(ranges[i].Start, orig[i].Start) || !bytes.Equal(ranges[i].End, orig[i].End) {
+			t.Fatalf("scan modified the caller's range %d", i)
+		}
+	}
+}
+
 func TestScanServerSideFilter(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
 	loadRows(t, c, 1000)

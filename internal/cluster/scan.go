@@ -12,9 +12,9 @@ import (
 )
 
 // KeyRange is a half-open row-key range [Start, End); nil bounds are open.
-type KeyRange struct {
-	Start, End []byte
-}
+// It is the kv layer's range type, so a region's range list goes to its kv
+// iterator as is.
+type KeyRange = kv.Range
 
 // Filter is a server-side row predicate, the coprocessor push-down hook.
 // It runs inside the region scan; rejected rows never leave the region.
@@ -25,6 +25,9 @@ type Filter func(key, value []byte) bool
 // ScanRequest describes a multi-range filtered scan, the access pattern
 // global pruning produces (Algorithm 3: addAllScanRange + addFilter).
 type ScanRequest struct {
+	// Ranges may come in any order and may overlap: the scan sorts a copy
+	// (only when they are unsorted) and coalesces overlapping ranges, so
+	// every row ships at most once, and empty ranges scan nothing.
 	Ranges []KeyRange
 	Filter Filter // optional
 	// Limit stops the whole scan after this many accepted rows (0 = no
@@ -156,6 +159,49 @@ func rangesOverlap(s1, e1, s2, e2 []byte) bool {
 		return false
 	}
 	return true
+}
+
+// normalizeRanges returns ranges sorted by start, pairwise disjoint and
+// without empty ranges: the shape a region's single kv iterator walks. A list
+// already in that shape (the planner's output) is returned as is; otherwise
+// a sorted copy has its overlapping ranges coalesced, so the caller's slice
+// is never modified and no row is scanned twice.
+func normalizeRanges(ranges []KeyRange) []KeyRange {
+	normal := true
+	for i, r := range ranges {
+		if r.Empty() || (i > 0 && (startLess(r.Start, ranges[i-1].Start) ||
+			rangesOverlap(ranges[i-1].Start, ranges[i-1].End, r.Start, r.End))) {
+			normal = false
+			break
+		}
+	}
+	if normal {
+		return ranges
+	}
+	out := make([]KeyRange, 0, len(ranges))
+	for _, r := range ranges {
+		if !r.Empty() {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return startLess(out[a].Start, out[b].Start) })
+	merged := out[:0]
+	for _, r := range out {
+		n := len(merged)
+		if n == 0 || !rangesOverlap(merged[n-1].Start, merged[n-1].End, r.Start, r.End) {
+			merged = append(merged, r)
+			continue
+		}
+		if last := &merged[n-1]; last.End != nil && (r.End == nil || bytes.Compare(r.End, last.End) > 0) {
+			last.End = r.End
+		}
+	}
+	return merged
+}
+
+// startLess orders range starts; a nil start is the open lower bound.
+func startLess(a, b []byte) bool {
+	return b != nil && (a == nil || bytes.Compare(a, b) < 0)
 }
 
 // clipRange intersects a request range with a region's bounds.

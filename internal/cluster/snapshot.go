@@ -133,34 +133,40 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 	return c.scanStreamParallel(ctx, req, tasks, parallelism, c.cfg.RPCLatency, batchRows, acct, start, emit)
 }
 
-// scanTasks groups the request's clipped ranges per pinned region, in region
-// (= key) order, with each region's ranges sorted by start key.
+// scanTasks groups the request's ranges per pinned region, in region (= key)
+// order. The ranges are normalized first (see normalizeRanges), so each
+// region receives the clipped share of one sorted, disjoint list, which its
+// scan walks with a single kv iterator. Each range's first region is found
+// by binary search: O(N log R) for N ranges over R regions, plus one step
+// per region a range spans.
 func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	regions, err := s.pinned()
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]regionTask, 0, len(regions))
-	byRegion := make(map[*Region]int, len(regions))
-	for _, sr := range regions { // region order = key order
-		r := sr.region
-		for _, rng := range req.Ranges {
-			if !rangesOverlap(rng.Start, rng.End, r.start, r.end) {
-				continue
-			}
-			idx, ok := byRegion[r]
-			if !ok {
-				idx = len(tasks)
-				byRegion[r] = idx
-				tasks = append(tasks, regionTask{region: r, snap: sr.snap})
-			}
-			tasks[idx].ranges = append(tasks[idx].ranges, clipRange(rng, r))
+	var tasks []regionTask
+	lo := 0 // every region before lo ends at or before the current range
+	for _, rng := range normalizeRanges(req.Ranges) {
+		if rng.Start != nil {
+			lo += sort.Search(len(regions)-lo, func(i int) bool {
+				e := regions[lo+i].region.end
+				return e == nil || bytes.Compare(e, rng.Start) > 0
+			})
 		}
-	}
-	for i := range tasks {
-		sort.Slice(tasks[i].ranges, func(a, b int) bool {
-			return bytes.Compare(tasks[i].ranges[a].Start, tasks[i].ranges[b].Start) < 0
-		})
+		for i := lo; i < len(regions); i++ {
+			r := regions[i].region
+			if rng.End != nil && r.start != nil && bytes.Compare(r.start, rng.End) >= 0 {
+				break
+			}
+			if n := len(tasks); n == 0 || tasks[n-1].region != r {
+				if tasks == nil {
+					tasks = make([]regionTask, 0, len(regions))
+				}
+				tasks = append(tasks, regionTask{region: r, snap: regions[i].snap})
+			}
+			t := &tasks[len(tasks)-1]
+			t.ranges = append(t.ranges, clipRange(rng, r))
+		}
 	}
 	return tasks, nil
 }

@@ -316,10 +316,10 @@ func (c *Cluster) retryBudget() (attempts int, delay, maxDelay time.Duration) {
 }
 
 // scanRegionOnce is one region "RPC" attempt: scan every clipped range from
-// the resume point, apply the server-side filter, and deliver accepted rows
-// in batches. ctx is observed between rows (amortized every 256). Delivered
-// rows advance st; rows buffered but not yet delivered when an error hits are
-// re-scanned (and re-delivered) by the next attempt.
+// the resume point with one kv iterator, apply the server-side filter, and
+// deliver accepted rows in batches. ctx is observed between rows (amortized
+// every 256). Delivered rows advance st; rows buffered but not yet delivered
+// when an error hits are re-scanned (and re-delivered) by the next attempt.
 func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, limit int, rpcLatency time.Duration, batchRows int, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -368,46 +368,52 @@ func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filte
 		return nil
 	}
 
+	// One kv iterator walks every range of the attempt. A retry resumes just
+	// past the last delivered key: ranges wholly behind it are dropped and
+	// the range holding it starts after it.
+	ranges := t.ranges
+	if st.haveLast {
+		ranges = make([]KeyRange, 0, len(t.ranges))
+		for _, rng := range t.ranges {
+			if rng, ok := st.resumeClip(rng); ok {
+				ranges = append(ranges, rng)
+			}
+		}
+	}
+	it := t.snap.ScanRanges(ranges)
 	scanned := 0
-	for _, rng := range t.ranges {
-		rng, ok := st.resumeClip(rng)
-		if !ok {
+	for it.Next() {
+		scanned++
+		if scanned%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				_ = it.Close()
+				return err
+			}
+		}
+		acct.rowsScanned.Add(1)
+		if filter != nil && !filter(it.Key(), it.Value()) {
 			continue
 		}
-		it := t.snap.Scan(rng.Start, rng.End)
-		for it.Next() {
-			scanned++
-			if scanned%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					_ = it.Close()
-					return err
-				}
-			}
-			acct.rowsScanned.Add(1)
-			if filter != nil && !filter(it.Key(), it.Value()) {
-				continue
-			}
-			e := kv.Entry{
-				Key:   append([]byte(nil), it.Key()...),
-				Value: append([]byte(nil), it.Value()...),
-			}
-			batch = append(batch, e)
-			if len(batch) >= batchRows {
-				if err := flush(); err != nil {
-					_ = it.Close()
-					return err
-				}
-			}
-			if limit > 0 && st.emitted+len(batch) >= limit {
+		e := kv.Entry{
+			Key:   append([]byte(nil), it.Key()...),
+			Value: append([]byte(nil), it.Value()...),
+		}
+		batch = append(batch, e)
+		if len(batch) >= batchRows {
+			if err := flush(); err != nil {
 				_ = it.Close()
-				return flush()
+				return err
 			}
 		}
-		if err := it.Err(); err != nil {
+		if limit > 0 && st.emitted+len(batch) >= limit {
 			_ = it.Close()
-			return err
+			return flush()
 		}
-		_ = it.Close()
 	}
+	if err := it.Err(); err != nil {
+		_ = it.Close()
+		return err
+	}
+	_ = it.Close()
 	return flush()
 }

@@ -393,6 +393,132 @@ func TestScanStreamTortureMidStreamFaults(t *testing.T) {
 		}
 		fsys.SetInject(nil)
 	}
+
+	t.Run("multi-range", func(t *testing.T) { tortureMultiRange(t, c, fsys, keys) })
+}
+
+// tortureMultiRange is the multi-range shape of the torture: 20 narrow
+// ranges with gaps, 10 in each region, so one region attempt walks many
+// ranges with one kv iterator. In Ordered and parallel mode alike:
+//   - a transient read fault at every read op, one op per pass: every row in
+//     the ranges arrives exactly once, in key order (within each region in
+//     parallel mode), and the retry resumes past the last delivered key
+//     even when that key ends a range;
+//   - a permanent fault on region 0: strict mode fails with region 0's
+//     RegionError, and AllowPartial reports it and still streams region 1.
+func tortureMultiRange(t *testing.T, c *Cluster, fsys *vfs.FaultFS, keys []string) {
+	var ranges []KeyRange
+	var want []string
+	for _, prefix := range []string{"a", "z"} {
+		for i := 0; i < 40; i += 4 {
+			ranges = append(ranges, KeyRange{
+				Start: []byte(fmt.Sprintf("%s%03d", prefix, i)),
+				End:   []byte(fmt.Sprintf("%s%03d", prefix, i+2)),
+			})
+			want = append(want, fmt.Sprintf("%s%03d", prefix, i), fmt.Sprintf("%s%03d", prefix, i+1))
+		}
+	}
+	region0 := c.Regions()[0]
+	var delivered atomic.Int32 // rows the current pass has delivered so far
+	stream := func(ordered, partial bool) (*ScanResult, []string, error) {
+		var got []string
+		delivered.Store(0)
+		res, err := c.ScanStream(context.Background(),
+			StreamRequest{
+				ScanRequest: ScanRequest{Ranges: ranges, AllowPartial: partial},
+				BatchRows:   3,
+				Ordered:     ordered,
+			},
+			func(b ScanBatch) error {
+				for _, e := range b.Entries {
+					got = append(got, string(e.Key))
+				}
+				delivered.Add(int32(len(b.Entries)))
+				return nil
+			})
+		return res, got, err
+	}
+	// inRegionOrder checks each row once, each region's rows in key order.
+	inRegionOrder := func(got []string) bool {
+		last := map[byte]string{}
+		seen := map[string]bool{}
+		for _, k := range got {
+			if seen[k] || k <= last[k[0]] {
+				return false
+			}
+			seen[k], last[k[0]] = true, k
+		}
+		return true
+	}
+
+	for _, ordered := range []bool{true, false} {
+		// Count the read ops of a fault-free pass.
+		var reads atomic.Int32
+		fsys.SetInject(func(op vfs.Op) vfs.Fault {
+			if op.Kind == vfs.OpRead {
+				reads.Add(1)
+			}
+			return vfs.FaultNone
+		})
+		if _, got, err := stream(ordered, false); err != nil || len(got) != len(want) || !inRegionOrder(got) {
+			t.Fatalf("ordered=%v: fault-free pass: %v, %d rows", ordered, err, len(got))
+		}
+		total := int(reads.Load())
+		if total < 8 {
+			t.Fatalf("ordered=%v: only %d read ops; the torture would be vacuous", ordered, total)
+		}
+		midStream := 0 // passes whose fault hit after some rows were delivered
+		for n := 1; n <= total; n++ {
+			var seen atomic.Int32
+			fsys.SetInject(func(op vfs.Op) vfs.Fault {
+				if op.Kind == vfs.OpRead && int(seen.Add(1)) == n {
+					if d := int(delivered.Load()); d > 0 && d < len(want) {
+						midStream++
+					}
+					return vfs.FaultTransient
+				}
+				return vfs.FaultNone
+			})
+			res, got, err := stream(ordered, false)
+			if err != nil {
+				t.Fatalf("ordered=%v, fault at read %d: %v", ordered, n, err)
+			}
+			if res.Retries != 1 {
+				t.Fatalf("ordered=%v, fault at read %d: %d retries, want 1", ordered, n, res.Retries)
+			}
+			if len(got) != len(want) || !inRegionOrder(got) || (ordered && !equalStrings(got, want)) {
+				t.Fatalf("ordered=%v, fault at read %d: got %v, want each of %d rows once in key order",
+					ordered, n, got, len(want))
+			}
+		}
+		if midStream == 0 {
+			t.Fatalf("ordered=%v: no fault hit mid-stream; resume was never exercised", ordered)
+		}
+
+		fsys.SetInject(func(op vfs.Op) vfs.Fault {
+			if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, region0.dir) {
+				return vfs.FaultErr
+			}
+			return vfs.FaultNone
+		})
+		_, _, err := stream(ordered, false)
+		var re *RegionError
+		if !errors.As(err, &re) || re.RegionID != region0.ID() {
+			t.Fatalf("ordered=%v: strict scan with a dead region returned %v, want region %d's RegionError",
+				ordered, err, region0.ID())
+		}
+		res, got, err := stream(ordered, true)
+		if err != nil {
+			t.Fatalf("ordered=%v: partial scan failed outright: %v", ordered, err)
+		}
+		if len(res.RegionErrors) != 1 || res.RegionErrors[0].RegionID != region0.ID() {
+			t.Fatalf("ordered=%v: RegionErrors = %v, want one for region %d", ordered, res.RegionErrors, region0.ID())
+		}
+		if !equalStrings(got, want[len(want)/2:]) {
+			t.Fatalf("ordered=%v: surviving region streamed %v, want %v", ordered, got, want[len(want)/2:])
+		}
+		fsys.SetInject(nil)
+	}
 }
 
 func equalStrings(a, b []string) bool {

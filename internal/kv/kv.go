@@ -29,6 +29,16 @@ type Entry struct {
 	Key, Value []byte
 }
 
+// Range is a half-open key range [Start, End); nil bounds are open.
+type Range struct {
+	Start, End []byte
+}
+
+// Empty reports whether r holds no key (Start >= End, both bounded).
+func (r Range) Empty() bool {
+	return r.Start != nil && r.End != nil && bytes.Compare(r.Start, r.End) >= 0
+}
+
 // internal entry kinds.
 const (
 	kindValue     byte = 0

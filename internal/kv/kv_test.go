@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -111,6 +112,52 @@ func TestScanRange(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(got) {
 		t.Fatal("scan out of order")
+	}
+}
+
+// TestScanRangesRejectsUnsortedList: the range-list iterator only moves
+// forward, so a list that is unsorted or overlaps must fail the iterator
+// instead of silently skipping or repeating keys. Empty ranges may sit
+// anywhere.
+func TestScanRangesRejectsUnsortedList(t *testing.T) {
+	db := newTestDB(t, Options{})
+	for i := 0; i < 10; i++ {
+		db.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("v"))
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	k := func(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+	for _, bad := range [][]Range{
+		{{Start: k(5), End: k(7)}, {Start: k(1), End: k(3)}},
+		{{Start: k(1), End: k(5)}, {Start: k(4), End: k(7)}},
+		{{Start: k(1), End: nil}, {Start: k(4), End: k(7)}},
+		{{Start: k(4), End: k(6)}, {Start: nil, End: k(2)}},
+	} {
+		it := snap.ScanRanges(bad)
+		if it.Next() || !errors.Is(it.Err(), errUnsortedRanges) {
+			t.Fatalf("ranges %q: err = %v, want %v", bad, it.Err(), errUnsortedRanges)
+		}
+		_ = it.Close()
+	}
+	it := snap.ScanRanges([]Range{
+		{Start: k(1), End: k(3)},
+		{Start: k(9), End: k(2)}, // empty
+		{Start: k(3), End: k(4)}, // touches the first
+		{Start: k(8), End: nil},
+	})
+	defer it.Close()
+	var got []string
+	for it.Next() {
+		got = append(got, string(it.Key()))
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if want := "[key001 key002 key003 key008 key009]"; fmt.Sprint(got) != want {
+		t.Fatalf("got %v, want %s", got, want)
 	}
 }
 
@@ -546,7 +593,8 @@ func TestSkiplistOrdering(t *testing.T) {
 	for _, k := range keys {
 		s.set([]byte(fmt.Sprintf("k%04d", k)), []byte("v"), kindValue)
 	}
-	it := s.iter(nil, nil)
+	it := s.iter()
+	it.seek(nil, nil)
 	prev := ""
 	n := 0
 	for it.Next() {

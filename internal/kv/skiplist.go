@@ -94,22 +94,30 @@ func (s *skiplist) get(k []byte) *skipNode {
 	return nil
 }
 
-// skipIter iterates the skiplist within [start, end).
+// skipIter iterates the skiplist one range at a time: seek positions it,
+// Next walks to the range's end.
 type skipIter struct {
+	s     *skiplist
 	node  *skipNode
 	end   []byte
 	first bool
 }
 
-// iter positions at the first key >= start.
-func (s *skiplist) iter(start, end []byte) *skipIter {
-	var n *skipNode
+// iter returns an unpositioned iterator; seek before the first Next.
+func (s *skiplist) iter() *skipIter {
+	return &skipIter{s: s}
+}
+
+// seek positions at the first key >= start (nil = the first key) and bounds
+// the walk at end. The list is immutable while iterated, so re-searching
+// from the head is always correct.
+func (it *skipIter) seek(start, end []byte) {
 	if start == nil {
-		n = s.head.next[0]
+		it.node = it.s.head.next[0]
 	} else {
-		n = s.findGreaterOrEqual(start, nil)
+		it.node = it.s.findGreaterOrEqual(start, nil)
 	}
-	return &skipIter{node: n, end: end, first: true}
+	it.end, it.first = end, true
 }
 
 func (it *skipIter) Next() bool {

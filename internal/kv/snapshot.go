@@ -1,6 +1,9 @@
 package kv
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // MVCC snapshot reads. A Snapshot pins an immutable point-in-time view of the
 // store — the frozen memtable stack plus a refcounted handle on every live
@@ -136,16 +139,37 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 }
 
 // Scan returns an iterator over [start, end) as of the snapshot; nil bounds
-// are open. The iterator holds its own table references, so it stays valid
-// even if the snapshot is closed while it is open.
+// are open. It is ScanRanges over one range.
 func (s *Snapshot) Scan(start, end []byte) Iterator {
-	return s.scan(start, end, nil)
+	return s.ScanRanges([]Range{{Start: start, End: end}})
 }
 
-// scan builds the merge iterator; extra (when non-nil) runs at iterator
-// close, after the iterator's own releases — DB.Scan hooks the snapshot's
-// release there so a plain Scan is a self-contained lease.
-func (s *Snapshot) scan(start, end []byte, extra func()) Iterator {
+// ScanRanges returns one iterator over every range of a sorted, disjoint
+// list, as of the snapshot: it walks the ranges in order, seeking each
+// source forward from one range to the next, and never surfaces a key
+// outside them. Ranges may touch (one's end equal to the next one's start)
+// and may be empty; an unsorted or overlapping list fails the iterator. The
+// caller must not modify ranges while the iterator is open. The iterator
+// holds its own table references, so it stays valid even if the snapshot is
+// closed while it is open.
+func (s *Snapshot) ScanRanges(ranges []Range) Iterator {
+	return s.scan(ranges, nil)
+}
+
+// errUnsortedRanges fails a scan whose range list is unsorted or overlaps.
+var errUnsortedRanges = errors.New("kv: scan ranges must be sorted and disjoint")
+
+// scan builds the merge iterator over ranges: one table pin and one Scans
+// count per call. extra (when non-nil) runs at iterator close, after the
+// iterator's own releases — DB.Scan hooks the snapshot's release there so a
+// plain Scan is a self-contained lease.
+func (s *Snapshot) scan(ranges []Range, extra func()) Iterator {
+	if !checkRanges(ranges) {
+		if extra != nil {
+			extra()
+		}
+		return &errIter{err: errUnsortedRanges}
+	}
 	mems, tables, err := s.pin()
 	if err != nil {
 		if extra != nil {
@@ -156,18 +180,12 @@ func (s *Snapshot) scan(start, end []byte, extra func()) Iterator {
 	s.db.stats.Scans.Add(1)
 	sources := make([]kvIter, 0, len(mems)+len(tables))
 	for _, m := range mems {
-		sources = append(sources, m.iter(start, end))
+		sources = append(sources, m.iter())
 	}
-	releases := make([]func(), 0, len(tables)+1)
 	for _, t := range tables {
-		tt := t
-		releases = append(releases, func() { tt.release() })
-		sources = append(sources, t.iter(start, end))
+		sources = append(sources, t.iter())
 	}
-	if extra != nil {
-		releases = append(releases, extra)
-	}
-	return newMergeIter(sources, &s.db.stats, releases)
+	return newMergeIter(sources, ranges, &s.db.stats, tables, extra)
 }
 
 // Close releases the snapshot's pinned tables. Idempotent; open iterators

@@ -291,7 +291,8 @@ func BenchmarkSnapshotCopyBaseline(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db.mu.Lock()
-				it := db.mem.iter(nil, nil)
+				it := db.mem.iter()
+				it.seek(nil, nil)
 				out := make([]entry, 0, db.mem.length)
 				for it.Next() {
 					out = append(out, entry{

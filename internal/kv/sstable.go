@@ -422,62 +422,73 @@ func decodeEntry(block []byte, pos int) (kind byte, key, value []byte, next int,
 	return kind, key, value, pos, nil
 }
 
-// sstIter iterates one SSTable over [start, end).
+// sstIter iterates one SSTable over a forward-moving sequence of ranges:
+// seek sets the next [start, end) and Next walks it. A seek keeps the loaded
+// block when the new start sorts before the following block's first key (the
+// walk goes on from the current entry), and otherwise re-seeks through the
+// block index.
 type sstIter struct {
 	sr       *sstReader
-	blockIdx int
-	block    []byte
-	pos      int
-	start    []byte
+	blockIdx int    // block being walked
+	block    []byte // blockIdx's data; nil until the walk loads it
+	pos      int    // offset of the next undecoded entry in block
+	start    []byte // entries below start are skipped; nil once reached
 	end      []byte
 	kind     byte
 	key      []byte
 	value    []byte
-	err      error
-	started  bool
+	// held: key/value hold a decoded entry at or past the last range's end.
+	// It was never surfaced, and the next range may start at or before it.
+	held bool
+	done bool // the walk ran past the last block
+	err  error
 }
 
-func (sr *sstReader) iter(start, end []byte) *sstIter {
-	return &sstIter{sr: sr, start: start, end: end}
+// iter returns an unpositioned iterator; seek before the first Next.
+func (sr *sstReader) iter() *sstIter {
+	return &sstIter{sr: sr}
+}
+
+// seek sets the next range; nil bounds are open. Sources only move forward:
+// start must not sort below a key the iterator has already surfaced.
+func (it *sstIter) seek(start, end []byte) {
+	it.start, it.end = start, end
+	if it.done || it.err != nil {
+		return
+	}
+	next := it.blockIdx + 1
+	if it.block != nil && (next >= len(it.sr.index) ||
+		(start != nil && bytes.Compare(start, it.sr.index[next].firstKey) < 0)) {
+		return // start is in the loaded block or before the next one
+	}
+	bi := 0
+	if start != nil {
+		if bi = it.sr.blockFor(start); bi < 0 {
+			bi = 0
+		}
+	}
+	// Every entry of the blocks passed over, the held one included, sorts
+	// below index[bi].firstKey <= start.
+	it.blockIdx, it.block, it.pos, it.held = bi, nil, 0, false
 }
 
 func (it *sstIter) Next() bool {
 	if it.err != nil {
 		return false
 	}
-	if !it.started {
-		it.started = true
-		bi := 0
-		if it.start != nil {
-			if bi = it.sr.blockFor(it.start); bi < 0 {
-				bi = 0
-			}
-		}
-		it.blockIdx = bi
-		if !it.loadBlock() {
-			return false
-		}
-		// Skip entries before start inside the first block.
-		for {
-			if !it.step() {
-				return false
-			}
-			if it.start == nil || bytes.Compare(it.key, it.start) >= 0 {
-				break
-			}
-		}
-		return it.checkEnd()
-	}
-	if !it.step() {
+	if it.held {
+		it.held = false
+	} else if !it.step() {
 		return false
 	}
-	return it.checkEnd()
-}
-
-func (it *sstIter) checkEnd() bool {
+	for it.start != nil && bytes.Compare(it.key, it.start) < 0 {
+		if !it.step() {
+			return false
+		}
+	}
+	it.start = nil
 	if it.end != nil && bytes.Compare(it.key, it.end) >= 0 {
-		it.block = nil
-		it.blockIdx = len(it.sr.index)
+		it.held = true
 		return false
 	}
 	return true
@@ -486,6 +497,7 @@ func (it *sstIter) checkEnd() bool {
 // loadBlock reads block blockIdx; false when past the last block.
 func (it *sstIter) loadBlock() bool {
 	if it.blockIdx >= len(it.sr.index) {
+		it.done = true
 		return false
 	}
 	block, err := it.sr.readBlock(it.blockIdx)
@@ -498,8 +510,11 @@ func (it *sstIter) loadBlock() bool {
 	return true
 }
 
-// step advances one entry, crossing block boundaries.
+// step decodes the next entry, loading blocks as the walk crosses them.
 func (it *sstIter) step() bool {
+	if it.done || (it.block == nil && !it.loadBlock()) {
+		return false
+	}
 	for it.pos >= len(it.block) {
 		it.blockIdx++
 		if !it.loadBlock() {
@@ -519,4 +534,4 @@ func (it *sstIter) Key() []byte   { return it.key }
 func (it *sstIter) Value() []byte { return it.value }
 func (it *sstIter) Kind() byte    { return it.kind }
 func (it *sstIter) Err() error    { return it.err }
-func (it *sstIter) Close() error  { it.block = nil; return nil }
+func (it *sstIter) Close() error  { it.block = nil; it.done = true; return nil }

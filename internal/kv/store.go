@@ -460,7 +460,7 @@ func (db *DB) Scan(start, end []byte) Iterator {
 	if err != nil {
 		return &errIter{err: err}
 	}
-	return snap.scan(start, end, func() { _ = snap.Close() })
+	return snap.scan([]Range{{Start: start, End: end}}, func() { _ = snap.Close() })
 }
 
 // Flush persists the memtable to a new SSTable and truncates the WAL, then
@@ -525,9 +525,9 @@ func (db *DB) flush() error {
 	// tombstones: they must continue to shadow versions in older SSTables.
 	sources := make([]kvIter, 0, len(mems))
 	for _, m := range mems {
-		sources = append(sources, m.iter(nil, nil))
+		sources = append(sources, m.iter())
 	}
-	merged := newMergeIter(sources, nil, nil)
+	merged := newMergeIter(sources, fullRange, nil, nil, nil)
 	merged.keepTombstones = true
 	defer merged.Close()
 	for merged.Next() {
@@ -718,13 +718,13 @@ func (db *DB) compactTables(n int) error {
 
 	sources := make([]kvIter, 0, n)
 	for _, t := range victims {
-		sources = append(sources, t.iter(nil, nil))
+		sources = append(sources, t.iter())
 	}
 	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, int(total))
 	if err != nil {
 		return err
 	}
-	merged := newMergeIter(sources, nil, nil)
+	merged := newMergeIter(sources, fullRange, nil, nil, nil)
 	merged.keepTombstones = !full
 	rows := 0
 	for merged.Next() {

@@ -98,6 +98,40 @@ func MinDistIS(qmbr geo.Rect, quads *[4]geo.Rect, mask QuadMask) float64 {
 	return worst
 }
 
+// isTable holds the 16 edge×quad distances of one element: row e is the
+// query MBR's edge e, column i is quad i. MinDistIS of any mask is a min/max
+// over these values, so an element's 9–10 position codes share one table.
+type isTable [4][4]float64
+
+// fill computes the distances MinDistIS would, with the same calls on the
+// same inputs.
+func (t *isTable) fill(qmbr geo.Rect, quads *[4]geo.Rect) {
+	for e, edge := range qmbr.Edges() {
+		eb := geo.SegmentBounds(geo.Segment(edge))
+		for i := range quads {
+			t[e][i] = geo.DistRectRect(eb, quads[i])
+		}
+	}
+}
+
+// minDist returns MinDistIS(qmbr, quads, mask) bit for bit: the same values
+// reduced by the same comparisons in the same order.
+func (t *isTable) minDist(mask QuadMask) float64 {
+	worst := 0.0
+	for e := range t {
+		best := math.Inf(1)
+		for i, d := range t[e] {
+			if mask&(1<<i) != 0 && d < best {
+				best = d
+			}
+		}
+		if best > worst {
+			worst = best
+		}
+	}
+	return worst
+}
+
 // PruneStats reports what global pruning did; the Fig. 11 experiments read
 // these counters.
 type PruneStats struct {
@@ -255,12 +289,18 @@ func (ix *Index) emitCodes(s Seq, q *Query, eps float64, ranges []ValueRange, st
 		}
 	}
 	atMax := s.Len() == ix.maxRes
+	var dists isTable // filled on the first code that survives Lemma 10
+	filled := false
 	for _, code := range AllCodes(atMax) {
 		stats.CodesExamined++
 		if code.Mask()&farMask != 0 { // Lemma 10
 			continue
 		}
-		if MinDistIS(q.MBR, &quads, code.Mask()) > eps { // Lemma 11
+		if !filled {
+			dists.fill(q.MBR, &quads)
+			filled = true
+		}
+		if dists.minDist(code.Mask()) > eps { // Lemma 11
 			continue
 		}
 		v := ix.Value(s, code)
@@ -293,11 +333,17 @@ func (ix *Index) CandidateSpaces(s Seq, q *Query, eps float64) []SpaceCand {
 	}
 	atMax := s.Len() == ix.maxRes
 	var out []SpaceCand
+	var dists isTable // filled on the first code that survives Lemma 10
+	filled := false
 	for _, code := range AllCodes(atMax) {
 		if code.Mask()&farMask != 0 {
 			continue
 		}
-		d := MinDistIS(q.MBR, &quads, code.Mask())
+		if !filled {
+			dists.fill(q.MBR, &quads)
+			filled = true
+		}
+		d := dists.minDist(code.Mask())
 		if d > eps {
 			continue
 		}

@@ -102,6 +102,38 @@ func TestMinDistISLowerBoundsFrechet(t *testing.T) {
 	}
 }
 
+// TestISTableMatchesMinDistIS: the per-element table the planner reads must
+// give MinDistIS bit for bit, for random elements at every resolution, every
+// quad mask and random query MBRs (degenerate ones included), so the planned
+// ranges and top-k space distances stay identical.
+func TestISTableMatchesMinDistIS(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 2000; iter++ {
+		s := SeqOf(byte(rng.Intn(4)))
+		for l := rng.Intn(12); l > 0; l-- {
+			s = s.Child(byte(rng.Intn(4)))
+		}
+		quads := s.Quads()
+		x0, y0 := rng.Float64(), rng.Float64()
+		w, h := rng.Float64()*0.3, rng.Float64()*0.3
+		switch rng.Intn(4) {
+		case 0:
+			w, h = 0, 0 // a point
+		case 1:
+			w = 0 // a vertical segment
+		}
+		qmbr := geo.Rect{Min: geo.Point{X: x0, Y: y0}, Max: geo.Point{X: x0 + w, Y: y0 + h}}
+		var table isTable
+		table.fill(qmbr, &quads)
+		for mask := QuadMask(0); mask < 16; mask++ {
+			want := MinDistIS(qmbr, &quads, mask)
+			if got := table.minDist(mask); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("iter %d mask %04b: table %v, MinDistIS %v", iter, mask, got, want)
+			}
+		}
+	}
+}
+
 func TestResolutionBounds(t *testing.T) {
 	ix := MustNew(16)
 	q := NewQuery([]geo.Point{{X: 0.4, Y: 0.4}, {X: 0.42, Y: 0.42}}, nil)
