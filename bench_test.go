@@ -6,6 +6,7 @@ package trass_test
 // figure once.
 
 import (
+	"context"
 	"io"
 	"os"
 	"testing"
@@ -67,12 +68,11 @@ func newBenchDB(b *testing.B) (*trass.DB, []*trass.Trajectory) {
 
 func BenchmarkThresholdSearch(b *testing.B) {
 	db, data := newBenchDB(b)
-	q := data[123]
-	eps := 0.01 / 360
+	q := trass.Query{Kind: trass.KindThreshold, Traj: data[123], Eps: 0.01 / 360}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ThresholdSearch(q, eps); err != nil {
+		if _, _, err := db.Collect(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,11 +80,11 @@ func BenchmarkThresholdSearch(b *testing.B) {
 
 func BenchmarkTopKSearch(b *testing.B) {
 	db, data := newBenchDB(b)
-	q := data[123]
+	q := trass.Query{Kind: trass.KindTopK, Traj: data[123], K: 50}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.TopKSearch(q, 50); err != nil {
+		if _, _, err := db.Collect(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,11 +95,11 @@ func BenchmarkTopKSearch(b *testing.B) {
 // are rejected by the pushed-down filter, so it tracks filter cost.
 func BenchmarkRangeSearch(b *testing.B) {
 	db, data := newBenchDB(b)
-	window := data[123].MBR()
+	q := trass.Query{Kind: trass.KindRange, Rect: data[123].MBR()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.RangeSearch(window); err != nil {
+		if _, _, err := db.Collect(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -152,6 +152,36 @@ func parseEps(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
+// querySpec builds the query the -eps/-k flags ask for: a threshold search
+// with -eps, a top-k search with -k. The query trajectory is filled in later.
+func querySpec(epsStr string, k int) (trass.Query, error) {
+	if (epsStr == "") == (k == 0) {
+		return trass.Query{}, fmt.Errorf("query: exactly one of -eps or -k is required")
+	}
+	if k != 0 {
+		return trass.Query{Kind: trass.KindTopK, K: k}, nil
+	}
+	eps, err := parseEps(epsStr)
+	if err != nil {
+		return trass.Query{}, fmt.Errorf("bad -eps: %v", err)
+	}
+	return trass.Query{Kind: trass.KindThreshold, Eps: eps}, nil
+}
+
+// findTrajectory reads a dataset file and returns the trajectory named id.
+func findTrajectory(path, id string) (*traj.Trajectory, error) {
+	trajs, err := gen.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range trajs {
+		if t.ID == id {
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("trajectory %q not found in %s", id, path)
+}
+
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	dbDir := fs.String("db", "", "store directory (required unless -server)")
@@ -173,8 +203,9 @@ func cmdQuery(args []string) error {
 	if *dbDir == "" {
 		return fmt.Errorf("query: -db is required")
 	}
-	if (*epsStr == "") == (*k == 0) {
-		return fmt.Errorf("query: exactly one of -eps or -k is required")
+	spec, err := querySpec(*epsStr, *k)
+	if err != nil {
+		return err
 	}
 
 	var m trass.Measure
@@ -198,46 +229,23 @@ func cmdQuery(args []string) error {
 	}
 	defer db.Close()
 
-	var q *traj.Trajectory
 	if *in != "" {
-		trajs, err := gen.ReadFile(*in)
+		spec.Traj, err = findTrajectory(*in, *id)
 		if err != nil {
 			return err
 		}
-		for _, t := range trajs {
-			if t.ID == *id {
-				q = t
-				break
-			}
-		}
-		if q == nil {
-			return fmt.Errorf("trajectory %q not found in %s", *id, *in)
-		}
 	} else {
 		// No dataset file: resolve the query trajectory from the store.
-		q, err = db.Get(*id)
+		spec.Traj, err = db.Get(*id)
 		if err != nil {
 			return fmt.Errorf("trajectory %q not in store (pass -in to query with an external trajectory): %w", *id, err)
 		}
 	}
 
-	var matches []trass.Match
-	var stats *trass.QueryStats
 	start := time.Now()
-	if *epsStr != "" {
-		eps, err := parseEps(*epsStr)
-		if err != nil {
-			return fmt.Errorf("bad -eps: %v", err)
-		}
-		matches, stats, err = db.ThresholdSearchStats(q, eps)
-		if err != nil {
-			return err
-		}
-	} else {
-		matches, stats, err = db.TopKSearchStats(q, *k)
-		if err != nil {
-			return err
-		}
+	matches, stats, err := db.Collect(context.Background(), spec)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -264,42 +272,22 @@ func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showS
 	if id == "" {
 		return fmt.Errorf("query: -id is required")
 	}
-	if (epsStr == "") == (k == 0) {
-		return fmt.Errorf("query: exactly one of -eps or -k is required")
+	spec, err := querySpec(epsStr, k)
+	if err != nil {
+		return err
 	}
-	req := server.QueryRequest{QueryID: id}
+	req := server.QueryRequest{Kind: string(spec.Kind), Eps: spec.Eps, K: spec.K, QueryID: id}
 	if in != "" {
 		// Ship the trajectory inline: the server need not have it stored.
-		trajs, err := gen.ReadFile(in)
+		q, err := findTrajectory(in, id)
 		if err != nil {
 			return err
-		}
-		var q *traj.Trajectory
-		for _, t := range trajs {
-			if t.ID == id {
-				q = t
-				break
-			}
-		}
-		if q == nil {
-			return fmt.Errorf("trajectory %q not found in %s", id, in)
 		}
 		req.QueryID = ""
 		req.Points = make([][2]float64, len(q.Points))
 		for i, p := range q.Points {
 			req.Points[i] = [2]float64{p.X, p.Y}
 		}
-	}
-	if epsStr != "" {
-		eps, err := parseEps(epsStr)
-		if err != nil {
-			return fmt.Errorf("bad -eps: %v", err)
-		}
-		req.Kind = server.KindThreshold
-		req.Eps = eps
-	} else {
-		req.Kind = server.KindTopK
-		req.K = k
 	}
 
 	client := server.NewClient(srvURL)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "trass-carpool-*")
 	if err != nil {
 		log.Fatal(err)
@@ -52,7 +54,7 @@ func main() {
 	// For a few drivers, find their 3 best carpool partners.
 	for _, id := range []string{"corridor0-driver0", "corridor3-driver1", "solo-5"} {
 		q := findRoute(all, id)
-		top, err := db.TopKSearch(q, 4) // self + 3 partners
+		top, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: q, K: 4}) // self + 3 partners
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "trass-contacts-*")
 	if err != nil {
 		log.Fatal(err)
@@ -70,7 +72,7 @@ func main() {
 
 	// Anyone within 0.002 degrees (~200 m) of the patient's whole path.
 	eps := 0.002 / 360
-	matches, stats, err := db.ThresholdSearchStats(patient, eps)
+	matches, stats, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: patient, Eps: eps})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func main() {
 	// observed during those days qualify (the untimed background population
 	// conservatively matches any window).
 	infectious := trass.TimeWindow{Start: 3 * daySecs, End: 5 * daySecs}
-	inPeriod, err := db.ThresholdSearchWindow(patient, eps, infectious)
+	inPeriod, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: patient, Eps: eps, Window: infectious})
 	if err != nil {
 		log.Fatal(err)
 	}

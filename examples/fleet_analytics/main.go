@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	base, err := os.MkdirTemp("", "trass-fleet-*")
 	if err != nil {
 		log.Fatal(err)
@@ -49,7 +51,7 @@ func main() {
 		if m == trass.DTW {
 			e *= 50 // DTW sums distances over points; rescale the threshold
 		}
-		matches, stats, err := db.ThresholdSearchStats(query, e)
+		matches, stats, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: query, Eps: e})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func main() {
 		// Fleet duty: the 5 routes most similar to a reference route, for
 		// consolidation candidates.
 		if m == trass.Frechet {
-			top, err := db.TopKSearch(query, 6)
+			top, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: query, K: 6})
 			if err != nil {
 				log.Fatal(err)
 			}

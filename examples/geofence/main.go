@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "trass-geofence-*")
 	if err != nil {
 		log.Fatal(err)
@@ -45,7 +47,7 @@ func main() {
 		Max: trass.Point{X: anchor.X + 0.002, Y: anchor.Y + 0.002},
 	}
 
-	matches, err := db.RangeSearch(zone)
+	matches, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindRange, Rect: zone})
 	if err != nil {
 		log.Fatal(err)
 	}

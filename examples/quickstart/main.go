@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "trass-quickstart-*")
 	if err != nil {
 		log.Fatal(err)
@@ -41,7 +43,7 @@ func main() {
 
 	// Threshold search: everything within ~0.005 degrees of commute-1.
 	eps := 0.005 / 360 // degrees → normalized plane units
-	matches, err := db.ThresholdSearch(commute1, eps)
+	matches, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: commute1, Eps: eps})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 	}
 
 	// Top-k search: the two nearest trajectories to commute-2.
-	top, err := db.TopKSearch(commute2, 2)
+	top, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: commute2, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

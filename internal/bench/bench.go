@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -286,7 +287,7 @@ func (t *trassSystem) Build(trajs []*traj.Trajectory) (time.Duration, error) {
 }
 
 func (t *trassSystem) Threshold(q *traj.Trajectory, eps float64) ([]baselines.Result, *baselines.Stats, error) {
-	rs, st, err := t.eng.Threshold(q, eps)
+	rs, st, err := t.eng.Run(context.Background(), query.Query{Kind: query.KindThreshold, Traj: q, Eps: eps}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -299,7 +300,7 @@ func (t *trassSystem) Threshold(q *traj.Trajectory, eps float64) ([]baselines.Re
 }
 
 func (t *trassSystem) TopK(q *traj.Trajectory, k int) ([]baselines.Result, *baselines.Stats, error) {
-	rs, st, err := t.eng.TopK(q, k)
+	rs, st, err := t.eng.Run(context.Background(), query.Query{Kind: query.KindTopK, Traj: q, K: k}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -386,7 +387,7 @@ var Runners = []struct {
 	{"io", "I/O reduction of XZ* global pruning vs XZ-Ordering", FigIO},
 	{"ablation", "contribution of each TraSS design choice", Ablation},
 	{"refine", "parallel refinement executor: sequential vs 4-worker refine wall-clock per measure", Refine},
-	{"stream", "streaming scan pipeline: collect-all vs bounded-queue scan/refine overlap under RPC latency", Stream},
+	{"stream", "streaming scan pipeline: bounded-queue scan/refine overlap under RPC latency", Stream},
 	{"commit", "group-commit WAL: fsync amortization and throughput vs concurrent synced writers", Commit},
 	{"mvcc", "MVCC snapshot reads: Get + threshold p50/p99, idle vs 8 writers + background scanner", MVCC},
 	{"serve", "served-query latency: trassd HTTP/NDJSON p50/p99/p999 per query path under concurrent connections", Serve},

@@ -35,8 +35,8 @@ import (
 
 const (
 	mvccGets        = 300
-	mvccWriterPause = 2 * time.Millisecond // per-writer gap: steady ingest, not CPU saturation
-	mvccWriterIDs   = 32                   // per-writer id pool; wrap-around re-puts hit the overwrite path
+	mvccWriterPause = 2 * time.Millisecond  // per-writer gap: steady ingest, not CPU saturation
+	mvccWriterIDs   = 32                    // per-writer id pool; wrap-around re-puts hit the overwrite path
 	mvccScanPacing  = 1 * time.Millisecond  // per-match sleep: the scanner's job is to PIN, not to burn CPU
 	mvccSweepPause  = 25 * time.Millisecond // between sweeps, so short sweeps don't spin the candidate scan
 	mvccP99Headroom = 2.0
@@ -150,7 +150,8 @@ func mvccRow(cfg Config, tab *Table, trajs []*trass.Trajectory, queries []*trass
 	// without monopolizing the CPU. Neither runs in the idle row. All of it
 	// quiesces via bgCtx; the deferred cancel/Wait make early error returns
 	// safe and the explicit pair below precedes the leak checks.
-	bgCtx, cancelBg := context.WithCancel(context.Background())
+	ctx := context.Background()
+	bgCtx, cancelBg := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer cancelBg()
@@ -186,7 +187,7 @@ func mvccRow(cfg Config, tab *Table, trajs []*trass.Trajectory, queries []*trass
 			// which would measure scheduler starvation, not blocking.
 			window := trass.Rect{Min: trass.Point{X: 0.25, Y: 0.25}, Max: trass.Point{X: 0.75, Y: 0.75}}
 			for bgCtx.Err() == nil {
-				_, err := db.RangeSearchFunc(bgCtx, window, func(trass.Match) error {
+				_, err := db.Search(bgCtx, trass.Query{Kind: trass.KindRange, Rect: window}, func(trass.Match) error {
 					if err := bgCtx.Err(); err != nil {
 						return err
 					}
@@ -235,7 +236,7 @@ func mvccRow(cfg Config, tab *Table, trajs []*trass.Trajectory, queries []*trass
 	queryTimes := make([]time.Duration, 0, len(queries))
 	for _, q := range queries {
 		t0 := time.Now()
-		if _, err := db.ThresholdSearch(q, eps); err != nil {
+		if _, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: q, Eps: eps}); err != nil {
 			return res, fmt.Errorf("mvcc: threshold: %w", err)
 		}
 		queryTimes = append(queryTimes, time.Since(t0))

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -10,36 +11,32 @@ import (
 	"repro/internal/store"
 )
 
-// The stream experiment measures what the streaming scan pipeline buys over
-// the collect-all path it replaced: with collect-all, every region scan must
-// finish (and every candidate sit in memory) before the first refinement
-// starts; with streaming, refinement workers pull candidates from a bounded
-// queue while later regions are still scanning, so scan latency and refine
-// CPU overlap. The workload is the refine experiment's near-duplicate
-// cluster — refinement-dominated, every row survives filtering — run over a
-// deliberately slow scan: per-RPC latency on every region call and a
-// serialized region fan-out, the regime where collect-all pays
-// scan + refine while streaming pays ~max(scan, refine).
+// The stream experiment measures the streaming scan pipeline: refinement
+// workers pull candidates from a bounded queue while later regions are still
+// scanning, so scan latency and refine CPU overlap. The workload is the
+// refine experiment's near-duplicate cluster — refinement-dominated, every
+// row survives filtering — run over a deliberately slow scan: per-RPC
+// latency on every region call and a serialized region fan-out, the regime
+// where a pipeline without overlap would pay scan + refine while streaming
+// pays ~max(scan, refine).
 //
-// The CI bench-smoke job records the JSON output (BENCH_stream.json); the
-// row pair per measure (collect-all vs streaming, same worker pool) tracks
-// the overlap win per commit, and the stall/peak-depth columns keep the
-// backpressure accounting honest (peak depth may never exceed the
-// configured queue depth).
+// The CI bench-smoke job records the JSON output (BENCH_stream.json); one
+// row per measure tracks the pipeline's latency per commit, and the
+// stall/peak-depth columns keep the backpressure accounting honest (peak
+// depth may never exceed the configured queue depth).
 
 const (
-	streamWorkers = 4                    // refine pool for both modes
-	streamDepth   = 8                    // candidate queue bound (streaming mode)
+	streamWorkers = 4                    // refine pool
+	streamDepth   = 8                    // candidate queue bound
 	streamLatency = 2 * time.Millisecond // per-region RPC latency
 )
 
-// Stream regenerates the collect-all vs streaming pipeline comparison per
-// measure.
+// Stream regenerates the streaming pipeline table, one row per measure.
 func Stream(cfg Config) ([]*Table, error) {
 	tab := &Table{
-		Title: fmt.Sprintf("Stream — collect-all vs streaming scan pipeline (%d candidates/query, %d workers, queue depth %d, %v/region RPC)",
+		Title: fmt.Sprintf("Stream — streaming scan pipeline (%d candidates/query, %d workers, queue depth %d, %v/region RPC)",
 			refineRows, streamWorkers, streamDepth, streamLatency),
-		Columns: []string{"measure", "mode", "query median", "scan median", "refine median", "stall median", "peak depth", "speedup"},
+		Columns: []string{"measure", "query median", "scan median", "refine median", "stall median", "peak depth"},
 	}
 	base, rows := refineWorkload(cfg.Seed)
 	queries := cfg.Queries
@@ -50,7 +47,7 @@ func Stream(cfg Config) ([]*Table, error) {
 	st, err := store.Open(store.Config{
 		Dir:         filepath.Join(cfg.Dir, "stream"),
 		RPCLatency:  streamLatency,
-		Parallelism: 1, // serialize region scans: the worst case collect-all waits out
+		Parallelism: 1, // serialize region scans: the slowest scan to overlap with
 	})
 	if err != nil {
 		return nil, err
@@ -68,52 +65,36 @@ func Stream(cfg Config) ([]*Table, error) {
 		eng.SetRefineParallelism(streamWorkers)
 		eng.SetStreamQueueDepth(streamDepth)
 		eps := refineEps(measure)
-		var collectMed time.Duration
-		for _, streaming := range []bool{false, true} {
-			eng.SetStreaming(streaming)
-			mode := "collect-all"
-			if streaming {
-				mode = "streaming"
+		var queryTimes, scanTimes, refineTimes, stallTimes []time.Duration
+		peak := 0
+		for qi := 0; qi < queries; qi++ {
+			t0 := time.Now()
+			rs, qs, err := eng.Run(context.Background(), query.Query{Kind: query.KindThreshold, Traj: base, Eps: eps}, nil)
+			if err != nil {
+				return nil, err
 			}
-			var queryTimes, scanTimes, refineTimes, stallTimes []time.Duration
-			peak := 0
-			for qi := 0; qi < queries; qi++ {
-				t0 := time.Now()
-				rs, qs, err := eng.Threshold(base, eps)
-				if err != nil {
-					return nil, err
-				}
-				queryTimes = append(queryTimes, time.Since(t0))
-				scanTimes = append(scanTimes, qs.ScanTime)
-				refineTimes = append(refineTimes, qs.RefineTime)
-				stallTimes = append(stallTimes, qs.StreamStallTime)
-				if qs.StreamPeakDepth > peak {
-					peak = qs.StreamPeakDepth
-				}
-				if len(rs) != refineRows {
-					return nil, fmt.Errorf("stream: %s/%s matched %d of %d cluster rows; workload must refine the whole cluster",
-						measure, mode, len(rs), refineRows)
-				}
+			queryTimes = append(queryTimes, time.Since(t0))
+			scanTimes = append(scanTimes, qs.ScanTime)
+			refineTimes = append(refineTimes, qs.RefineTime)
+			stallTimes = append(stallTimes, qs.StreamStallTime)
+			if qs.StreamPeakDepth > peak {
+				peak = qs.StreamPeakDepth
 			}
-			if streaming && peak > streamDepth {
-				return nil, fmt.Errorf("stream: %s peak queue depth %d exceeds configured %d", measure, peak, streamDepth)
+			if len(rs) != refineRows {
+				return nil, fmt.Errorf("stream: %s matched %d of %d cluster rows; workload must refine the whole cluster",
+					measure, len(rs), refineRows)
 			}
-			med := median(queryTimes)
-			speedup := "1.00x"
-			if !streaming {
-				collectMed = med
-			} else if med > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(collectMed)/float64(med))
-			}
-			tab.AddRow(measure.String(), mode,
-				med.Round(time.Microsecond).String(),
-				median(scanTimes).Round(time.Microsecond).String(),
-				median(refineTimes).Round(time.Microsecond).String(),
-				median(stallTimes).Round(time.Microsecond).String(),
-				fmt.Sprintf("%d", peak),
-				speedup)
-			cfg.logf("stream %s %s done", measure, mode)
 		}
+		if peak > streamDepth {
+			return nil, fmt.Errorf("stream: %s peak queue depth %d exceeds configured %d", measure, peak, streamDepth)
+		}
+		tab.AddRow(measure.String(),
+			median(queryTimes).Round(time.Microsecond).String(),
+			median(scanTimes).Round(time.Microsecond).String(),
+			median(refineTimes).Round(time.Microsecond).String(),
+			median(stallTimes).Round(time.Microsecond).String(),
+			fmt.Sprintf("%d", peak))
+		cfg.logf("stream %s done", measure)
 	}
 	return []*Table{tab}, nil
 }

@@ -42,14 +42,14 @@ func TestThresholdOpensOneIteratorPerRegion(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := fx.trajs[(i*37)%len(fx.trajs)]
 		if check("threshold", func() (*Stats, error) {
-			_, st, err := fx.engine.Threshold(q, 0.005)
+			_, st, err := collect(fx.engine, Query{Kind: KindThreshold, Traj: q, Eps: 0.005})
 			return st, err
 		}) {
 			multi++
 		}
 		w := geo.MBRPoints(q.Points).Buffer(0.01)
 		if check("range", func() (*Stats, error) {
-			_, st, err := fx.engine.Range(w)
+			_, st, err := collect(fx.engine, Query{Kind: KindRange, Rect: w})
 			return st, err
 		}) {
 			multi++

@@ -90,22 +90,16 @@ func TestMalformedRowFailsEveryQuery(t *testing.T) {
 		for _, tuning := range []Tuning{{}, {EndpointOnlyFilter: true}} {
 			e := New(st, dist.Frechet)
 			e.SetTuning(tuning)
-			queries := map[string]func() error{
-				"threshold": func() error { _, _, err := e.Threshold(victim, 0.001); return err },
-				"threshold-window": func() error {
-					_, _, err := e.ThresholdWindow(victim, 0.001, window)
-					return err
-				},
-				"topk":        func() error { _, _, err := e.TopK(victim, 3); return err },
-				"topk-window": func() error { _, _, err := e.TopKWindow(victim, 3, window); return err },
-				"range":       func() error { _, _, err := e.Range(victim.MBR()); return err },
-				"range-window": func() error {
-					_, _, err := e.RangeWindow(victim.MBR(), window)
-					return err
-				},
+			queries := map[string]Query{
+				"threshold":        {Kind: KindThreshold, Traj: victim, Eps: 0.001},
+				"threshold-window": {Kind: KindThreshold, Traj: victim, Eps: 0.001, Window: window},
+				"topk":             {Kind: KindTopK, Traj: victim, K: 3},
+				"topk-window":      {Kind: KindTopK, Traj: victim, K: 3, Window: window},
+				"range":            {Kind: KindRange, Rect: victim.MBR()},
+				"range-window":     {Kind: KindRange, Rect: victim.MBR(), Window: window},
 			}
-			for name, run := range queries {
-				err := run()
+			for name, q := range queries {
+				_, _, err := collect(e, q)
 				if err == nil || !strings.Contains(err.Error(), want.Error()) {
 					t.Errorf("%s, %s, endpoint-only=%v: got error %v, want %q",
 						defect, name, tuning.EndpointOnlyFilter, err, want)

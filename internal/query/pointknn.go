@@ -14,24 +14,15 @@ import (
 	"repro/internal/xzstar"
 )
 
-// NearestToPoint finds the k stored trajectories whose closest approach to
+// nearestToPoint finds the k stored trajectories whose closest approach to
 // point p is smallest — "which routes pass nearest this depot". It is the
 // point-query member of the family the paper's conclusion leaves as future
 // work, and it reuses the Algorithm-4 best-first machinery with a different
 // (still sound) lower bound: every point of a trajectory lies inside its
 // index space's occupied quads, so the distance from p to that quad union
 // lower-bounds the trajectory's closest approach.
-func (e *Engine) NearestToPoint(p geo.Point, k int) ([]Result, *Stats, error) {
-	return e.NearestToPointContext(context.Background(), p, k)
-}
-
-// NearestToPointContext is NearestToPoint under a context: cancellation
-// aborts the storage scans between rows and surfaces ctx's error.
-func (e *Engine) NearestToPointContext(ctx context.Context, p geo.Point, k int) ([]Result, *Stats, error) {
+func (e *Engine) nearestToPoint(ctx context.Context, p geo.Point, k int) ([]Result, *Stats, error) {
 	stats := &Stats{}
-	if k <= 0 {
-		return nil, stats, nil
-	}
 	ix := e.store.Index()
 
 	// One snapshot for the whole best-first search (see topK).
@@ -72,11 +63,11 @@ func (e *Engine) NearestToPointContext(ctx context.Context, p geo.Point, k int) 
 		scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 			return snap.ScanRangesStream(sctx,
 				[]xzstar.ValueRange{{Lo: sc.value, Hi: sc.value + 1}},
-				nil, 0, e.streamOptions(true), emit)
+				nil, 0, store.StreamOptions{Ordered: true}, emit)
 		}
-		// Ordered streaming keeps dispatch order equal to the collect-all
-		// path's sorted-entry order; see topk.go.
-		return e.runPipeline(ctx, stats, scan,
+		// Ordered streaming keeps dispatch order equal to key order; see
+		// topk.go.
+		return e.refineFromScan(ctx, stats, scan,
 			func(rec *traj.Record) refineOutcome {
 				d := closestApproach(p, rec.Points, rec.Features.Boxes, bound.get())
 				return refineOutcome{rec: rec, dist: d, keep: true}

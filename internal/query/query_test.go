@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,8 +11,10 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/kv"
 	"repro/internal/store"
 	"repro/internal/traj"
+	"repro/internal/xzstar"
 )
 
 func walk(rng *rand.Rand, id string, n int, scale float64) *traj.Trajectory {
@@ -34,6 +38,12 @@ func nearWalk(rng *rand.Rand, base *traj.Trajectory, id string, jitter float64) 
 		}
 	}
 	return traj.New(id, pts)
+}
+
+// collect runs q to completion and returns its results in Run's collected
+// order.
+func collect(e *Engine, q Query) ([]Result, *Stats, error) {
+	return e.Run(context.Background(), q, nil)
 }
 
 type fixture struct {
@@ -102,6 +112,60 @@ func (f *fixture) bruteTopK(q *traj.Trajectory, k int, measure dist.Measure) []f
 	return ds
 }
 
+// bruteRange is the range query's ground truth: every stored trajectory with
+// a point inside window.
+func (f *fixture) bruteRange(window geo.Rect) map[string]bool {
+	out := map[string]bool{}
+	for _, tr := range f.trajs {
+		for _, p := range tr.Points {
+			if window.ContainsPoint(p) {
+				out[tr.ID] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
+// bruteNearest is point-kNN's ground truth: the k smallest closest-approach
+// distances to p, ascending.
+func (f *fixture) bruteNearest(p geo.Point, k int) []float64 {
+	ds := make([]float64, 0, len(f.trajs))
+	for _, tr := range f.trajs {
+		best := math.Inf(1)
+		for _, q := range tr.Points {
+			best = math.Min(best, p.Dist(q))
+		}
+		ds = append(ds, best)
+	}
+	sort.Float64s(ds)
+	if len(ds) > k {
+		ds = ds[:k]
+	}
+	return ds
+}
+
+// rawRows reads every stored row through a store snapshot, bypassing the
+// query pipeline, in key order.
+func (f *fixture) rawRows(t testing.TB) []kv.Entry {
+	t.Helper()
+	snap, err := f.store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var rows []kv.Entry
+	if _, err := snap.ScanRangesStream(context.Background(),
+		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0,
+		store.StreamOptions{Ordered: true}, func(batch []kv.Entry) error {
+			rows = append(rows, batch...)
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestThresholdMatchesBruteForce(t *testing.T) {
 	for _, measure := range []dist.Measure{dist.Frechet, dist.Hausdorff, dist.DTW} {
 		measure := measure
@@ -125,7 +189,7 @@ func TestThresholdMatchesBruteForce(t *testing.T) {
 				if measure == dist.DTW {
 					eps *= 10 // DTW accumulates; use a looser threshold
 				}
-				got, stats, err := f.engine.Threshold(q, eps)
+				got, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,7 +234,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 					q = walk(rng, "q", 15, 0.01)
 				}
 				k := []int{1, 5, 20}[rng.Intn(3)]
-				got, stats, err := f.engine.TopK(q, k)
+				got, stats, err := collect(f.engine, Query{Kind: KindTopK, Traj: q, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +260,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 func TestTopKMoreThanStored(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 20, 46)
 	q := walk(rand.New(rand.NewSource(47)), "q", 10, 0.01)
-	got, _, err := f.engine.TopK(q, 10000)
+	got, _, err := collect(f.engine, Query{Kind: KindTopK, Traj: q, K: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +271,9 @@ func TestTopKMoreThanStored(t *testing.T) {
 
 func TestTopKZero(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 10, 48)
-	got, stats, err := f.engine.TopK(walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0)
-	if err != nil || len(got) != 0 || stats == nil {
-		t.Fatalf("k=0: %v %v %v", got, stats, err)
+	got, _, err := collect(f.engine, Query{Kind: KindTopK, Traj: walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), K: 0})
+	if !errors.Is(err, ErrInvalidQuery) || len(got) != 0 {
+		t.Fatalf("k=0: %v %v, want ErrInvalidQuery", got, err)
 	}
 }
 
@@ -220,7 +284,7 @@ func TestThresholdEmptyStore(t *testing.T) {
 	}
 	defer st.Close()
 	e := New(st, dist.Frechet)
-	got, stats, err := e.Threshold(walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0.01)
+	got, stats, err := collect(e, Query{Kind: KindThreshold, Traj: walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +298,52 @@ func TestThresholdEmptyStore(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 10, 49)
-	if _, _, err := f.engine.Threshold(nil, 0.01); err == nil {
-		t.Fatal("nil query must fail")
+	if _, _, err := collect(f.engine, Query{Kind: KindThreshold, Eps: 0.01}); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("nil query: %v, want ErrInvalidQuery", err)
 	}
-	if _, _, err := f.engine.TopK(nil, 5); err == nil {
-		t.Fatal("nil query must fail")
+	if _, _, err := collect(f.engine, Query{Kind: KindTopK, Traj: &traj.Trajectory{ID: "q"}, K: 5}); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("empty query: %v, want ErrInvalidQuery", err)
+	}
+}
+
+// Validate is the one place request checks live; every rejection wraps
+// ErrInvalidQuery, and NaN never slips through a comparison.
+func TestQueryValidate(t *testing.T) {
+	q := walk(rand.New(rand.NewSource(1)), "q", 5, 0.01)
+	unit := geo.Rect{Max: geo.Point{X: 1, Y: 1}}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		q    Query
+		ok   bool
+	}{
+		{"threshold", Query{Kind: KindThreshold, Traj: q, Eps: 0.01}, true},
+		{"threshold zero eps", Query{Kind: KindThreshold, Traj: q}, true},
+		{"threshold windowed", Query{Kind: KindThreshold, Traj: q, Eps: 0.01, Window: TimeWindow{Start: 1}}, true},
+		{"topk", Query{Kind: KindTopK, Traj: q, K: 3}, true},
+		{"range", Query{Kind: KindRange, Rect: unit}, true},
+		{"range point rect", Query{Kind: KindRange}, true},
+		{"knn", Query{Kind: KindKNN, K: 1}, true},
+		{"unknown kind", Query{Kind: "nearest", Traj: q, K: 1}, false},
+		{"empty kind", Query{}, false},
+		{"threshold nil traj", Query{Kind: KindThreshold, Eps: 0.01}, false},
+		{"threshold negative eps", Query{Kind: KindThreshold, Traj: q, Eps: -1}, false},
+		{"threshold NaN eps", Query{Kind: KindThreshold, Traj: q, Eps: nan}, false},
+		{"topk nil traj", Query{Kind: KindTopK, K: 3}, false},
+		{"topk zero k", Query{Kind: KindTopK, Traj: q}, false},
+		{"knn negative k", Query{Kind: KindKNN, K: -1}, false},
+		{"knn windowed", Query{Kind: KindKNN, K: 1, Window: TimeWindow{End: 5}}, false},
+		{"range inverted x", Query{Kind: KindRange, Rect: geo.Rect{Min: geo.Point{X: 0.5}, Max: geo.Point{X: 0.4, Y: 1}}}, false},
+		{"range inverted y", Query{Kind: KindRange, Rect: geo.Rect{Min: geo.Point{Y: 0.5}, Max: geo.Point{X: 1, Y: 0.4}}}, false},
+		{"range NaN", Query{Kind: KindRange, Rect: geo.Rect{Max: geo.Point{X: nan, Y: 1}}}, false},
+	} {
+		err := tc.q.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: got %v, want ErrInvalidQuery", tc.name, err)
+		}
 	}
 }
 
@@ -248,7 +353,7 @@ func TestThresholdPrunes(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 400, 50)
 	rng := rand.New(rand.NewSource(51))
 	q := nearWalk(rng, f.trajs[0], "q", 0.002)
-	_, stats, err := f.engine.Threshold(q, 0.005)
+	_, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +372,7 @@ func TestStatsConsistency(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 300, 52)
 	rng := rand.New(rand.NewSource(53))
 	q := nearWalk(rng, f.trajs[5], "q", 0.002)
-	results, stats, err := f.engine.Threshold(q, 0.01)
+	results, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +397,7 @@ func BenchmarkThreshold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.engine.Threshold(q, 0.01); err != nil {
+		if _, _, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: 0.01}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +410,7 @@ func BenchmarkTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.engine.TopK(q, 50); err != nil {
+		if _, _, err := collect(f.engine, Query{Kind: KindTopK, Traj: q, K: 50}); err != nil {
 			b.Fatal(err)
 		}
 	}

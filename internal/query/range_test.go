@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -21,7 +22,7 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 			Min: geo.Point{X: cx, Y: cy},
 			Max: geo.Point{X: geo.Clamp01(cx + w), Y: geo.Clamp01(cy + w)},
 		}
-		got, stats, err := f.engine.Range(window)
+		got, stats, err := collect(f.engine, Query{Kind: KindRange, Rect: window})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,10 +54,10 @@ func TestRangeEmptyWindow(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 50, 72)
 	// A window far from every trajectory (generators keep data inside known
 	// areas; the corner at (0,0) normalized is the south pole / dateline).
-	got, _, err := f.engine.Range(geo.Rect{
+	got, _, err := collect(f.engine, Query{Kind: KindRange, Rect: geo.Rect{
 		Min: geo.Point{X: 0, Y: 0},
 		Max: geo.Point{X: 0.001, Y: 0.001},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestRangeEmptyWindow(t *testing.T) {
 func TestRangePrunes(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 400, 73)
 	mbr := f.trajs[0].MBR()
-	_, stats, err := f.engine.Range(mbr)
+	_, stats, err := collect(f.engine, Query{Kind: KindRange, Rect: mbr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTuningVariantsAgree(t *testing.T) {
 	q := nearWalk(rng, f.trajs[10], "q", 0.002)
 	eps := 0.01 / 360 * 10
 
-	full, fullStats, err := f.engine.Threshold(q, eps)
+	full, fullStats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTuningVariantsAgree(t *testing.T) {
 	}
 	for i, tuning := range variants {
 		f.engine.SetTuning(tuning)
-		got, stats, err := f.engine.Threshold(q, eps)
+		got, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +127,12 @@ func TestTinyBudgetStaysExact(t *testing.T) {
 	q := nearWalk(rng, f.trajs[20], "q", 0.002)
 	eps := 0.02 / 360 * 10
 
-	full, _, err := f.engine.Threshold(q, eps)
+	full, _, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.engine.SetBudget(4)
-	small, stats, err := f.engine.Threshold(q, eps)
+	small, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestNearestToPointMatchesBruteForce(t *testing.T) {
 			p = geo.Point{X: rng.Float64(), Y: rng.Float64()}
 		}
 		k := []int{1, 5, 25}[iter%3]
-		got, stats, err := f.engine.NearestToPoint(p, k)
+		got, stats, err := collect(f.engine, Query{Kind: KindKNN, Point: p, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,10 +187,10 @@ func TestNearestToPointMatchesBruteForce(t *testing.T) {
 
 func TestNearestToPointEdgeCases(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 20, 80)
-	if got, _, err := f.engine.NearestToPoint(geo.Point{X: 0.5, Y: 0.5}, 0); err != nil || len(got) != 0 {
-		t.Fatalf("k=0: %v %v", got, err)
+	if got, _, err := collect(f.engine, Query{Kind: KindKNN, Point: geo.Point{X: 0.5, Y: 0.5}, K: 0}); !errors.Is(err, ErrInvalidQuery) || len(got) != 0 {
+		t.Fatalf("k=0: %v %v, want ErrInvalidQuery", got, err)
 	}
-	got, _, err := f.engine.NearestToPoint(geo.Point{X: 0.5, Y: 0.5}, 1000)
+	got, _, err := collect(f.engine, Query{Kind: KindKNN, Point: geo.Point{X: 0.5, Y: 0.5}, K: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

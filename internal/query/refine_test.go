@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/kv"
 	"repro/internal/store"
 	"repro/internal/traj"
-	"repro/internal/xzstar"
 )
 
 // refineFixture builds a store of n near-duplicates of one base trajectory
@@ -70,16 +70,16 @@ func TestRefineDeterminismAcrossWorkers(t *testing.T) {
 				f.engine.SetRefineParallelism(workers)
 				var r run
 				var err error
-				if r.threshold, _, err = f.engine.Threshold(q, eps); err != nil {
+				if r.threshold, _, err = collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: eps}); err != nil {
 					t.Fatal(err)
 				}
-				if r.topk, _, err = f.engine.TopK(q, 25); err != nil {
+				if r.topk, _, err = collect(f.engine, Query{Kind: KindTopK, Traj: q, K: 25}); err != nil {
 					t.Fatal(err)
 				}
-				if r.rng, _, err = f.engine.Range(window); err != nil {
+				if r.rng, _, err = collect(f.engine, Query{Kind: KindRange, Rect: window}); err != nil {
 					t.Fatal(err)
 				}
-				if r.knn, _, err = f.engine.NearestToPoint(point, 25); err != nil {
+				if r.knn, _, err = collect(f.engine, Query{Kind: KindKNN, Point: point, K: 25}); err != nil {
 					t.Fatal(err)
 				}
 				runs = append(runs, r)
@@ -112,7 +112,7 @@ func TestRefineDeterminismWindowVariants(t *testing.T) {
 	var prev []Result
 	for i, workers := range []int{1, 8} {
 		f.engine.SetRefineParallelism(workers)
-		got, _, err := f.engine.ThresholdWindow(q, 0.01, w)
+		got, _, err := collect(f.engine, Query{Kind: KindThreshold, Traj: q, Eps: 0.01, Window: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +134,13 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	f.engine.SetRefineParallelism(workers)
 
 	// Fetch every stored row raw, bypassing the query pipeline: the test
-	// drives the executor directly.
-	res, err := f.store.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	// drives the executor directly, feeding it the rows as one scan batch.
+	rows := f.rawRows(t)
+	if len(rows) < 100 {
+		t.Fatalf("fixture too small: %d entries", len(rows))
 	}
-	if len(res.Entries) < 100 {
-		t.Fatalf("fixture too small: %d entries", len(res.Entries))
+	scan := func(_ context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
+		return &cluster.ScanResult{}, emit(rows)
 	}
 
 	const cancelAfter = 5
@@ -149,7 +148,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	defer cancel()
 	var processed atomic.Int64
 	stats := &Stats{}
-	err = f.engine.refine(ctx, res.Entries, stats,
+	err := f.engine.refineFromScan(ctx, stats, scan,
 		func(rec *traj.Record) refineOutcome {
 			if processed.Add(1) == cancelAfter {
 				cancel()
@@ -158,7 +157,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 		},
 		func(o refineOutcome) error { return nil })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("refine returned %v, want context.Canceled", err)
+		t.Fatalf("refineFromScan returned %v, want context.Canceled", err)
 	}
 	// Each worker may have had one candidate in flight when the cancel hit,
 	// plus the scheduler can let a worker claim one more before it observes
@@ -166,7 +165,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	if got := processed.Load(); got > cancelAfter+2*workers {
 		t.Errorf("workers processed %d candidates after cancel at %d (workers=%d); cancellation is not prompt", got, cancelAfter, workers)
 	}
-	if stats.Refined >= len(res.Entries) {
+	if stats.Refined >= len(rows) {
 		t.Errorf("merge consumed all %d entries despite cancellation", stats.Refined)
 	}
 }
@@ -180,7 +179,7 @@ func TestRefineCancellationEndToEnd(t *testing.T) {
 	eps := 0.5 // admits every near-duplicate under DTW
 
 	t0 := time.Now()
-	res, stats, err := f.engine.ThresholdContext(context.Background(), base, eps)
+	res, stats, err := f.engine.Run(context.Background(), Query{Kind: KindThreshold, Traj: base, Eps: eps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestRefineCancellationEndToEnd(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), full/20)
 	defer cancel()
-	ms, st, err := f.engine.ThresholdContext(ctx, base, eps)
+	ms, st, err := f.engine.Run(ctx, Query{Kind: KindThreshold, Traj: base, Eps: eps}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled query returned (%d results, %v, %v), want context.DeadlineExceeded", len(ms), st, err)
 	}
@@ -202,7 +201,7 @@ func TestRefinePreCancelled(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 50, 76)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := f.engine.ThresholdContext(ctx, f.trajs[0], 0.01); !errors.Is(err, context.Canceled) {
+	if _, _, err := f.engine.Run(ctx, Query{Kind: KindThreshold, Traj: f.trajs[0], Eps: 0.01}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled query returned %v, want context.Canceled", err)
 	}
 }
@@ -213,7 +212,7 @@ func TestRefinePreCancelled(t *testing.T) {
 func TestRefineStatsAccounting(t *testing.T) {
 	f, base := refineFixture(t, 300, 60, 77)
 	f.engine.SetRefineParallelism(4)
-	_, stats, err := f.engine.Threshold(base, 0.5)
+	_, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: base, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestRefineStatsAccounting(t *testing.T) {
 	// Sequential: cumulative busy time and wall-clock measure the same loop,
 	// so CPU time cannot exceed wall-clock by more than timer noise.
 	f.engine.SetRefineParallelism(1)
-	_, stats, err = f.engine.Threshold(base, 0.5)
+	_, stats, err = collect(f.engine, Query{Kind: KindThreshold, Traj: base, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestRefineParallelismKnob(t *testing.T) {
 		if got := f.engine.refineParallelism(); got < 1 {
 			t.Fatalf("SetRefineParallelism(%d): resolved pool %d < 1", n, got)
 		}
-		if _, _, err := f.engine.Threshold(f.trajs[0], 0.01); err != nil {
+		if _, _, err := collect(f.engine, Query{Kind: KindThreshold, Traj: f.trajs[0], Eps: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 	}

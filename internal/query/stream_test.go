@@ -4,97 +4,120 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
-	"math"
-
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/geo"
 	"repro/internal/kv"
 	"repro/internal/traj"
-	"repro/internal/xzstar"
 )
 
-// The streaming pipeline's core contract: for every query type, every worker
-// count and every queue depth, results are byte-identical to the collect-all
-// path (scan fully, sort, refine) that predates streaming.
-func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
+// The streaming pipeline's core contract: for every query kind, every worker
+// count and every queue depth, collected results equal the brute-force
+// answer, and every cell of the grid is identical to the sequential,
+// fully serialized run (workers=1, depth=1).
+func TestStreamDeterminismMatchesBruteForce(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 200, 81)
 	rng := rand.New(rand.NewSource(82))
 	q := nearWalk(rng, f.trajs[3], "q", 0.002)
-	const eps = 0.01
+	const eps, k = 0.01, 25
 	window := geo.Rect{Min: geo.Point{X: 0.1, Y: 0.1}, Max: geo.Point{X: 0.9, Y: 0.9}}
 	point := geo.Point{X: 0.5, Y: 0.5}
-
-	type run struct {
-		threshold, topk, rng, knn, thrWin, topkWin, rngWin []Result
+	queries := []Query{
+		{Kind: KindThreshold, Traj: q, Eps: eps},
+		{Kind: KindTopK, Traj: q, K: k},
+		{Kind: KindRange, Rect: window},
+		{Kind: KindKNN, Point: point, K: k},
+		{Kind: KindThreshold, Traj: q, Eps: eps, Window: TimeWindow{Start: 1}},
+		{Kind: KindTopK, Traj: q, K: k, Window: TimeWindow{Start: 1}},
+		{Kind: KindRange, Rect: window, Window: TimeWindow{Start: 1}},
 	}
-	exec := func() run {
-		var r run
-		var err error
-		if r.threshold, _, err = f.engine.Threshold(q, eps); err != nil {
-			t.Fatal(err)
-		}
-		if r.topk, _, err = f.engine.TopK(q, 25); err != nil {
-			t.Fatal(err)
-		}
-		if r.rng, _, err = f.engine.Range(window); err != nil {
-			t.Fatal(err)
-		}
-		if r.knn, _, err = f.engine.NearestToPoint(point, 25); err != nil {
-			t.Fatal(err)
-		}
-		w := TimeWindow{}
-		if r.thrWin, _, err = f.engine.ThresholdWindow(q, eps, w); err != nil {
-			t.Fatal(err)
-		}
-		if r.topkWin, _, err = f.engine.TopKWindow(q, 25, w); err != nil {
-			t.Fatal(err)
-		}
-		if r.rngWin, _, err = f.engine.RangeWindow(window, w); err != nil {
-			t.Fatal(err)
-		}
-		return r
+	wantThreshold := f.bruteThreshold(q, eps, dist.Frechet)
+	wantTopK := f.bruteTopK(q, k, dist.Frechet)
+	wantRange := f.bruteRange(window)
+	wantKNN := f.bruteNearest(point, k)
+	if len(wantThreshold) == 0 || len(wantRange) == 0 {
+		t.Fatal("brute-force answer is empty; fixture is vacuous")
 	}
 
-	// Reference: streaming off, sequential refinement — the pre-streaming
-	// engine exactly.
-	f.engine.SetStreaming(false)
-	f.engine.SetRefineParallelism(1)
-	ref := exec()
-	if len(ref.threshold) == 0 || len(ref.topk) == 0 || len(ref.rng) == 0 || len(ref.knn) == 0 {
-		t.Fatal("reference run returned empty results; fixture is vacuous")
-	}
-
-	f.engine.SetStreaming(true)
+	var ref [][]Result
 	for _, workers := range []int{1, 2, 8} {
 		for _, depth := range []int{1, 0} { // 1 = fully serialized hand-off, 0 = default
 			f.engine.SetRefineParallelism(workers)
 			f.engine.SetStreamQueueDepth(depth)
-			got := exec()
 			name := fmt.Sprintf("workers=%d depth=%d", workers, depth)
-			if !reflect.DeepEqual(ref.threshold, got.threshold) {
-				t.Errorf("%s: threshold differs from collect-all", name)
+			var cell [][]Result
+			for _, qu := range queries {
+				got, _, err := collect(f.engine, qu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell = append(cell, got)
+				switch qu.Kind {
+				case KindThreshold:
+					if ids := resultIDs(got); !reflect.DeepEqual(ids, keys(wantThreshold)) {
+						t.Errorf("%s: %s returned %d ids, brute force %d", name, qu.Kind, len(ids), len(wantThreshold))
+					}
+				case KindRange:
+					if ids := resultIDs(got); !reflect.DeepEqual(ids, keys(wantRange)) {
+						t.Errorf("%s: %s returned %d ids, brute force %d", name, qu.Kind, len(ids), len(wantRange))
+					}
+				case KindTopK:
+					checkDistances(t, name+" topk", got, wantTopK)
+				case KindKNN:
+					checkDistances(t, name+" knn", got, wantKNN)
+				}
 			}
-			if !reflect.DeepEqual(ref.topk, got.topk) {
-				t.Errorf("%s: topk differs from collect-all", name)
+			if ref == nil {
+				ref = cell
+				continue
 			}
-			if !reflect.DeepEqual(ref.rng, got.rng) {
-				t.Errorf("%s: range differs from collect-all", name)
+			for i := range queries {
+				if !reflect.DeepEqual(ref[i], cell[i]) {
+					t.Errorf("%s: %s query %d differs from workers=1 depth=1", name, queries[i].Kind, i)
+				}
 			}
-			if !reflect.DeepEqual(ref.knn, got.knn) {
-				t.Errorf("%s: point-kNN differs from collect-all", name)
-			}
-			if !reflect.DeepEqual(ref.thrWin, got.thrWin) ||
-				!reflect.DeepEqual(ref.topkWin, got.topkWin) ||
-				!reflect.DeepEqual(ref.rngWin, got.rngWin) {
-				t.Errorf("%s: a window variant differs from collect-all", name)
-			}
+		}
+	}
+}
+
+// resultIDs returns the sorted ids of a result list.
+func resultIDs(rs []Result) []string {
+	ids := make([]string, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// keys returns the sorted keys of a brute-force answer set.
+func keys[V any](m map[string]V) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// checkDistances compares a ranked answer to the brute-force distance list.
+func checkDistances(t *testing.T, name string, got []Result, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d results, brute force %d", name, len(got), len(want))
+		return
+	}
+	for i := range got {
+		if math.Abs(got[i].Distance-want[i]) > 1e-9 {
+			t.Errorf("%s: rank %d distance %v, brute force %v", name, i, got[i].Distance, want[i])
+			return
 		}
 	}
 }
@@ -106,7 +129,7 @@ func TestStreamPeakDepthBounded(t *testing.T) {
 	f, base := refineFixture(t, 150, 40, 83)
 	f.engine.SetRefineParallelism(4)
 	f.engine.SetStreamQueueDepth(2)
-	_, stats, err := f.engine.Threshold(base, 0.5)
+	_, stats, err := collect(f.engine, Query{Kind: KindThreshold, Traj: base, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,37 +147,19 @@ func TestStreamPeakDepthBounded(t *testing.T) {
 	}
 }
 
-// Streaming observability stays silent on the collect-all path.
-func TestStreamStatsZeroWhenDisabled(t *testing.T) {
-	f, base := refineFixture(t, 60, 30, 84)
-	f.engine.SetStreaming(false)
-	_, stats, err := f.engine.Threshold(base, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.StreamBatches != 0 || stats.StreamPeakDepth != 0 || stats.StreamStallTime != 0 {
-		t.Errorf("collect-all run reported stream stats: batches=%d peak=%d stall=%v",
-			stats.StreamBatches, stats.StreamPeakDepth, stats.StreamStallTime)
-	}
-}
-
 // When refinement is slower than the scan and the queue is depth 1, the
 // producer must block — recorded as StreamStallTime. Driven through the
 // executor directly so the slow stage is deterministic.
 func TestStreamBackpressureStalls(t *testing.T) {
 	f, _ := refineFixture(t, 1, 10, 85)
-	res, err := f.store.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) == 0 {
+	rows := f.rawRows(t)
+	if len(rows) == 0 {
 		t.Fatal("empty fixture")
 	}
 	// 30 copies of the row: enough hand-offs for a stall to be inevitable.
 	var entries []kv.Entry
 	for i := 0; i < 30; i++ {
-		entries = append(entries, res.Entries...)
+		entries = append(entries, rows...)
 	}
 	f.engine.SetRefineParallelism(1)
 	f.engine.SetStreamQueueDepth(1)
@@ -167,7 +172,7 @@ func TestStreamBackpressureStalls(t *testing.T) {
 		}
 		return &cluster.ScanResult{}, nil
 	}
-	err = f.engine.refineFromScan(context.Background(), stats, 0, scan,
+	err := f.engine.refineFromScan(context.Background(), stats, scan,
 		func(rec *traj.Record) refineOutcome {
 			time.Sleep(time.Millisecond)
 			return refineOutcome{rec: rec, keep: true}
@@ -187,13 +192,14 @@ func TestStreamBackpressureStalls(t *testing.T) {
 	}
 }
 
-// ThresholdFunc streams every match exactly once and honors an abort from
-// the delivery callback by returning its error unwrapped.
+// Run with a sink streams every threshold match exactly once and honors an
+// abort from the sink by returning its error unwrapped.
 func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 	f, base := refineFixture(t, 120, 30, 86)
 	f.engine.SetRefineParallelism(4)
 
-	want, _, err := f.engine.Threshold(base, 0.5)
+	qu := Query{Kind: KindThreshold, Traj: base, Eps: 0.5}
+	want, _, err := collect(f.engine, qu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 	}
 
 	var got []Result
-	stats, err := f.engine.ThresholdFunc(context.Background(), base, 0.5, func(r Result) error {
+	_, stats, err := f.engine.Run(context.Background(), qu, func(r Result) error {
 		got = append(got, r)
 		return nil
 	})
@@ -223,7 +229,7 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 
 	sentinel := errors.New("enough")
 	delivered := 0
-	_, err = f.engine.ThresholdFunc(context.Background(), base, 0.5, func(r Result) error {
+	_, _, err = f.engine.Run(context.Background(), qu, func(r Result) error {
 		delivered++
 		if delivered >= 3 {
 			return sentinel
@@ -231,18 +237,19 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, sentinel) {
-		t.Fatalf("aborted ThresholdFunc returned %v, want the callback's error", err)
+		t.Fatalf("aborted threshold Run returned %v, want the sink's error", err)
 	}
 	if delivered != 3 {
 		t.Fatalf("callback ran %d times after aborting at 3", delivered)
 	}
 }
 
-// RangeFunc covers the same contract on the range path.
+// The same sink contract on the range path.
 func TestRangeFuncDelivery(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 100, 87)
 	window := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 1, Y: 1}}
-	want, _, err := f.engine.Range(window)
+	qu := Query{Kind: KindRange, Rect: window}
+	want, _, err := collect(f.engine, qu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +257,7 @@ func TestRangeFuncDelivery(t *testing.T) {
 		t.Fatal("vacuous window")
 	}
 	count := 0
-	stats, err := f.engine.RangeFunc(context.Background(), window, func(r Result) error {
+	_, stats, err := f.engine.Run(context.Background(), qu, func(r Result) error {
 		count++
 		return nil
 	})

@@ -7,43 +7,17 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/kv"
+	"repro/internal/store"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
 )
 
-// Threshold runs the threshold similarity search of Algorithm 3: global
+// threshold runs the threshold similarity search of Algorithm 3: global
 // pruning plans the key ranges, local filtering runs pushed down inside the
 // regions, and the survivors stream through refinement with the full
 // similarity measure as the scans produce them.
-func (e *Engine) Threshold(q *traj.Trajectory, eps float64) ([]Result, *Stats, error) {
-	return e.threshold(context.Background(), q, eps, TimeWindow{})
-}
-
-// ThresholdContext is Threshold under a context: cancellation aborts the
-// storage scans between rows and surfaces ctx's error.
-func (e *Engine) ThresholdContext(ctx context.Context, q *traj.Trajectory, eps float64) ([]Result, *Stats, error) {
-	return e.threshold(ctx, q, eps, TimeWindow{})
-}
-
-// ThresholdFunc streams each match to fn as refinement produces it instead
-// of collecting a result slice: memory stays bounded by the pipeline depth
-// no matter how many trajectories match. Delivery order follows refinement
-// completion, not key order. A non-nil error from fn aborts the query and is
-// returned as-is.
-func (e *Engine) ThresholdFunc(ctx context.Context, q *traj.Trajectory, eps float64, fn func(Result) error) (*Stats, error) {
-	_, stats, err := e.thresholdImpl(ctx, q, eps, TimeWindow{}, fn)
-	return stats, err
-}
-
-func (e *Engine) threshold(ctx context.Context, q *traj.Trajectory, eps float64, w TimeWindow) ([]Result, *Stats, error) {
-	return e.thresholdImpl(ctx, q, eps, w, nil)
-}
-
-func (e *Engine) thresholdImpl(ctx context.Context, q *traj.Trajectory, eps float64, w TimeWindow, sink func(Result) error) ([]Result, *Stats, error) {
-	qg, err := e.prepare(q)
-	if err != nil {
-		return nil, nil, err
-	}
+func (e *Engine) threshold(ctx context.Context, q *traj.Trajectory, eps float64, w TimeWindow, sink func(Result) error) ([]Result, *Stats, error) {
+	qg := e.prepare(q)
 	stats := &Stats{}
 
 	// One snapshot per query: planning and every scan read the same
@@ -65,13 +39,13 @@ func (e *Engine) thresholdImpl(ctx context.Context, q *traj.Trajectory, eps floa
 
 	filter := pushDown(w, e.buildFilter(qg, eps))
 	scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-		return snap.ScanRangesStream(sctx, ranges, filter, 0, e.streamOptions(false), emit)
+		return snap.ScanRangesStream(sctx, ranges, filter, 0, store.StreamOptions{}, emit)
 	}
 
 	bounded := dist.BoundedFor(e.measure)
 	var out []keyedResult
 	nres := 0
-	err = e.runPipeline(ctx, stats, scan,
+	err = e.refineFromScan(ctx, stats, scan,
 		func(rec *traj.Record) refineOutcome {
 			d := bounded(qg.points, rec.Points, eps)
 			return refineOutcome{rec: rec, dist: d, keep: d <= eps}

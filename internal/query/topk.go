@@ -14,30 +14,14 @@ import (
 	"repro/internal/xzstar"
 )
 
-// TopK runs the best-first top-k similarity search of Algorithm 4: elements
+// topK runs the best-first top-k similarity search of Algorithm 4: elements
 // are expanded nearest-first (minDistEE), their surviving index spaces are
 // queued by minDistIS, and each space is scanned only when no unexpanded
 // element could still produce a nearer space. Every k-th result tightens the
 // working threshold, which prunes the remaining frontier exactly like the
 // threshold search's lemmas.
-func (e *Engine) TopK(q *traj.Trajectory, k int) ([]Result, *Stats, error) {
-	return e.topK(context.Background(), q, k, TimeWindow{})
-}
-
-// TopKContext is TopK under a context: cancellation aborts the storage scans
-// between rows and surfaces ctx's error.
-func (e *Engine) TopKContext(ctx context.Context, q *traj.Trajectory, k int) ([]Result, *Stats, error) {
-	return e.topK(ctx, q, k, TimeWindow{})
-}
-
 func (e *Engine) topK(ctx context.Context, q *traj.Trajectory, k int, w TimeWindow) ([]Result, *Stats, error) {
-	if k <= 0 {
-		return nil, &Stats{}, nil
-	}
-	qg, err := e.prepare(q)
-	if err != nil {
-		return nil, nil, err
-	}
+	qg := e.prepare(q)
 	ix := e.store.Index()
 	stats := &Stats{}
 
@@ -93,12 +77,12 @@ func (e *Engine) topK(ctx context.Context, q *traj.Trajectory, k int, w TimeWind
 		scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 			return snap.ScanRangesStream(sctx,
 				[]xzstar.ValueRange{{Lo: sc.value, Hi: sc.value + 1}},
-				filter, 0, e.streamOptions(true), emit)
+				filter, 0, store.StreamOptions{Ordered: true}, emit)
 		}
 		// Ordered streaming: one index space spans one contiguous key range,
-		// so region-sequential delivery equals sorted-entry order — the merge
-		// below sees candidates exactly as the collect-all path did.
-		return e.runPipeline(ctx, stats, scan,
+		// so region-sequential delivery equals key order: the merge below sees
+		// candidates in the same order for any worker count or queue depth.
+		return e.refineFromScan(ctx, stats, scan,
 			func(rec *traj.Record) refineOutcome {
 				b := bound.get()
 				d := bounded(qg.points, rec.Points, b)

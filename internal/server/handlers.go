@@ -18,7 +18,9 @@ const maxRequestBody = 8 << 20
 // handleQuery is POST /v1/query: decode, admit (shed with 429 when the
 // in-flight bound is hit), map the deadline onto a context derived from the
 // request's (so client disconnects and drain cancellation both propagate),
-// and dispatch to the query path.
+// map the request onto a validated trass.Query, and run the collect or the
+// stream path. Every client error is answered 400 before any query work
+// starts or any stream header goes out.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
@@ -46,15 +48,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryCtxHook(ctx)
 	}
 
-	if req.Stream {
-		if req.PageSize > 0 || req.PageToken != "" {
-			writeError(w, http.StatusBadRequest, "stream and pagination are mutually exclusive")
-			return
-		}
-		s.streamQuery(ctx, w, &req)
+	if req.Stream && (req.PageSize > 0 || req.PageToken != "") {
+		writeError(w, http.StatusBadRequest, "stream and pagination are mutually exclusive")
 		return
 	}
-	s.collectQuery(ctx, w, &req)
+	offset, err := decodePageToken(req.PageToken)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	q, err := s.toQuery(&req)
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
+	if req.Stream {
+		s.streamQuery(ctx, w, q, req.IncludePoints)
+		return
+	}
+	s.collectQuery(ctx, w, q, &req, offset)
 }
 
 // deadline resolves the request's execution budget: the client's ask clamped
@@ -70,45 +82,66 @@ func (s *Server) deadline(req *QueryRequest) time.Duration {
 	return d
 }
 
-// timeWindow assembles the optional time restriction.
-func (req *QueryRequest) timeWindow() trass.TimeWindow {
-	return trass.TimeWindow{Start: req.TimeStart, End: req.TimeEnd}
+// toQuery maps a wire request onto a validated trass.Query: the one place
+// that knows which request fields each kind reads. It resolves query_id
+// against the store; client mistakes come back as badRequest or wrapping
+// trass.ErrInvalidQuery.
+func (s *Server) toQuery(req *QueryRequest) (trass.Query, error) {
+	q := trass.Query{
+		Kind:   trass.QueryKind(req.Kind),
+		Eps:    req.Eps,
+		K:      req.K,
+		Window: trass.TimeWindow{Start: req.TimeStart, End: req.TimeEnd},
+	}
+	switch q.Kind {
+	case trass.KindThreshold, trass.KindTopK:
+		t, err := s.queryTrajectory(req)
+		if err != nil {
+			return q, err
+		}
+		q.Traj = t
+	case trass.KindRange:
+		if req.Rect == nil {
+			return q, badRequest(fmt.Errorf("range requires a rect [minX,minY,maxX,maxY]"))
+		}
+		r := *req.Rect
+		q.Rect = trass.Rect{Min: trass.Point{X: r[0], Y: r[1]}, Max: trass.Point{X: r[2], Y: r[3]}}
+	case trass.KindKNN:
+		if req.Point == nil {
+			return q, badRequest(fmt.Errorf("knn requires a point"))
+		}
+		q.Point = trass.Point{X: req.Point[0], Y: req.Point[1]}
+	}
+	return q, q.Validate()
 }
 
 // queryTrajectory resolves the query trajectory: a stored id or inline
-// points, exactly one of the two.
+// points, exactly one of the two. A storage failure during the lookup is
+// the server's error, not the client's.
 func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 	switch {
 	case req.QueryID != "" && len(req.Points) > 0:
-		return nil, fmt.Errorf("query_id and points are mutually exclusive")
+		return nil, badRequest(fmt.Errorf("query_id and points are mutually exclusive"))
 	case req.QueryID != "":
 		q, err := s.db.Get(req.QueryID)
-		if err != nil {
-			if errors.Is(err, trass.ErrNotFound) {
-				return nil, fmt.Errorf("query trajectory %q not stored", req.QueryID)
-			}
-			return nil, err
+		if errors.Is(err, trass.ErrNotFound) {
+			return nil, badRequest(fmt.Errorf("query trajectory %q not stored", req.QueryID))
 		}
-		return q, nil
+		return q, err
 	case len(req.Points) > 0:
 		return toTrajectory("<query>", req.Points)
 	default:
-		return nil, fmt.Errorf("one of query_id or points is required")
+		return nil, badRequest(fmt.Errorf("one of query_id or points is required"))
 	}
 }
 
-// collectQuery runs the non-streaming path: execute fully through the
-// deterministic *SearchContext variants (row-key order for threshold/range,
-// ascending distance for top-k/knn), then slice out the requested page.
-func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
-	matches, stats, err := s.runCollect(ctx, req)
+// collectQuery runs the non-streaming path: execute fully through Collect
+// (row-key order for threshold/range, ascending distance for top-k/knn),
+// then slice out the page that starts at offset.
+func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, req *QueryRequest, offset int) {
+	matches, stats, err := s.db.Collect(ctx, q)
 	if err != nil {
 		writeQueryError(w, err)
-		return
-	}
-	offset, err := decodePageToken(req.PageToken)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := QueryResponse{Stats: statsToWire(stats)}
@@ -128,62 +161,6 @@ func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *Q
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// runCollect dispatches one fully-collected query.
-func (s *Server) runCollect(ctx context.Context, req *QueryRequest) ([]trass.Match, *trass.QueryStats, error) {
-	tw := req.timeWindow()
-	switch req.Kind {
-	case KindThreshold:
-		q, err := s.queryTrajectory(req)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		return s.db.ThresholdSearchWindowContext(ctx, q, req.Eps, tw)
-	case KindTopK:
-		q, err := s.queryTrajectory(req)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		if req.K <= 0 {
-			return nil, nil, badRequest(fmt.Errorf("topk requires k > 0"))
-		}
-		return s.db.TopKSearchWindowContext(ctx, q, req.K, tw)
-	case KindRange:
-		rect, err := req.rect()
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		return s.db.RangeSearchWindowContext(ctx, rect, tw)
-	case KindKNN:
-		if req.Point == nil {
-			return nil, nil, badRequest(fmt.Errorf("knn requires a point"))
-		}
-		if req.K <= 0 {
-			return nil, nil, badRequest(fmt.Errorf("knn requires k > 0"))
-		}
-		if !tw.Unbounded() {
-			return nil, nil, badRequest(fmt.Errorf("knn has no time-window variant"))
-		}
-		return s.db.NearestSearchContext(ctx, trass.Point{X: req.Point[0], Y: req.Point[1]}, req.K)
-	default:
-		return nil, nil, badRequest(fmt.Errorf("unknown query kind %q", req.Kind))
-	}
-}
-
-// rect validates the range query's spatial window.
-func (req *QueryRequest) rect() (trass.Rect, error) {
-	if req.Rect == nil {
-		return trass.Rect{}, fmt.Errorf("range requires a rect [minX,minY,maxX,maxY]")
-	}
-	r := *req.Rect
-	if r[0] > r[2] || r[1] > r[3] {
-		return trass.Rect{}, fmt.Errorf("malformed rect: min exceeds max")
-	}
-	return trass.Rect{
-		Min: trass.Point{X: r[0], Y: r[1]},
-		Max: trass.Point{X: r[2], Y: r[3]},
-	}, nil
-}
-
 // badRequestError marks a client error so writeQueryError picks 400 over 500.
 type badRequestError struct{ err error }
 
@@ -199,6 +176,8 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &br):
 		writeError(w, http.StatusBadRequest, "%v", br.err)
+	case errors.Is(err, trass.ErrInvalidQuery):
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):

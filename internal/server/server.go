@@ -16,12 +16,8 @@ import (
 // Backend is the query surface the server serves. *trass.DB implements it;
 // tests wrap it to count lifecycle calls and inject faults.
 type Backend interface {
-	ThresholdSearchWindowContext(ctx context.Context, q *trass.Trajectory, eps float64, w trass.TimeWindow) ([]trass.Match, *trass.QueryStats, error)
-	ThresholdSearchWindowFunc(ctx context.Context, q *trass.Trajectory, eps float64, w trass.TimeWindow, fn func(trass.Match) error) (*trass.QueryStats, error)
-	TopKSearchWindowContext(ctx context.Context, q *trass.Trajectory, k int, w trass.TimeWindow) ([]trass.Match, *trass.QueryStats, error)
-	RangeSearchWindowContext(ctx context.Context, window trass.Rect, w trass.TimeWindow) ([]trass.Match, *trass.QueryStats, error)
-	RangeSearchWindowFunc(ctx context.Context, window trass.Rect, w trass.TimeWindow, fn func(trass.Match) error) (*trass.QueryStats, error)
-	NearestSearchContext(ctx context.Context, p trass.Point, k int) ([]trass.Match, *trass.QueryStats, error)
+	Search(ctx context.Context, q trass.Query, fn func(trass.Match) error) (*trass.QueryStats, error)
+	Collect(ctx context.Context, q trass.Query) ([]trass.Match, *trass.QueryStats, error)
 	Get(id string) (*trass.Trajectory, error)
 	Count() int64
 	StorageStats() (trass.StorageStats, error)

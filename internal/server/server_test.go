@@ -156,7 +156,7 @@ func TestWireEquivalence(t *testing.T) {
 			name: "threshold",
 			req:  QueryRequest{Kind: KindThreshold, QueryID: q.ID, Eps: eps},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.ThresholdSearchWindowContext(ctx, q, eps, trass.TimeWindow{})
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: q, Eps: eps})
 				return ms, err
 			},
 			ordered: true,
@@ -165,7 +165,7 @@ func TestWireEquivalence(t *testing.T) {
 			name: "threshold-window",
 			req:  QueryRequest{Kind: KindThreshold, Points: queryPts, Eps: eps, TimeEnd: 2500},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.ThresholdSearchWindowContext(ctx, q, eps, window)
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: q, Eps: eps, Window: window})
 				return ms, err
 			},
 			ordered: true,
@@ -174,7 +174,7 @@ func TestWireEquivalence(t *testing.T) {
 			name: "topk",
 			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.TopKSearchWindowContext(ctx, q, 10, trass.TimeWindow{})
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: q, K: 10})
 				return ms, err
 			},
 			ordered: true,
@@ -183,7 +183,7 @@ func TestWireEquivalence(t *testing.T) {
 			name: "topk-window",
 			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10, TimeEnd: 2500},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.TopKSearchWindowContext(ctx, q, 10, window)
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: q, K: 10, Window: window})
 				return ms, err
 			},
 			ordered: true,
@@ -192,10 +192,10 @@ func TestWireEquivalence(t *testing.T) {
 			name: "range",
 			req:  QueryRequest{Kind: KindRange, Rect: wireRect},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.RangeSearchWindowContext(ctx, trass.Rect{
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindRange, Rect: trass.Rect{
 					Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
 					Max: trass.Point{X: wireRect[2], Y: wireRect[3]},
-				}, trass.TimeWindow{})
+				}})
 				return ms, err
 			},
 			ordered: true,
@@ -204,10 +204,10 @@ func TestWireEquivalence(t *testing.T) {
 			name: "range-window",
 			req:  QueryRequest{Kind: KindRange, Rect: wireRect, TimeEnd: 2500},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.RangeSearchWindowContext(ctx, trass.Rect{
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindRange, Rect: trass.Rect{
 					Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
 					Max: trass.Point{X: wireRect[2], Y: wireRect[3]},
-				}, window)
+				}, Window: window})
 				return ms, err
 			},
 			ordered: true,
@@ -216,7 +216,7 @@ func TestWireEquivalence(t *testing.T) {
 			name: "knn",
 			req:  QueryRequest{Kind: KindKNN, Point: &[2]float64{q.Points[0].X, q.Points[0].Y}, K: 5},
 			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.NearestSearchContext(ctx, q.Points[0], 5)
+				ms, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindKNN, Point: q.Points[0], K: 5})
 				return ms, err
 			},
 			ordered: true,
@@ -354,38 +354,54 @@ func TestPagination(t *testing.T) {
 	}
 }
 
+// Every malformed request is answered 400 in both delivery modes, before
+// any query work starts: a stream never opens a 200 header for a request it
+// will reject, and the backend's query methods are never called.
 func TestBadRequests(t *testing.T) {
 	db, data := openLoadedDB(t)
-	_, client := startServer(t, db, Config{})
+	backend := &countingBackend{Backend: db}
+	_, client := startServer(t, backend, Config{})
 	ctx := context.Background()
 
 	cases := []struct {
-		name string
-		req  QueryRequest
+		name       string
+		req        QueryRequest
+		streamOnly bool
 	}{
-		{"unknown kind", QueryRequest{Kind: "frobnicate"}},
-		{"threshold without query", QueryRequest{Kind: KindThreshold, Eps: 0.01}},
-		{"topk without k", QueryRequest{Kind: KindTopK, QueryID: data[0].ID}},
-		{"range without rect", QueryRequest{Kind: KindRange}},
-		{"range inverted rect", QueryRequest{Kind: KindRange, Rect: &[4]float64{1, 1, 0, 0}}},
-		{"knn without point", QueryRequest{Kind: KindKNN, K: 3}},
-		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}},
-		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
-		{"stream plus pagination", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: 2}},
+		{"unknown kind", QueryRequest{Kind: "frobnicate"}, false},
+		{"threshold without query", QueryRequest{Kind: KindThreshold, Eps: 0.01}, false},
+		{"threshold negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}, false},
+		{"topk without k", QueryRequest{Kind: KindTopK, QueryID: data[0].ID}, false},
+		{"topk negative k", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: -1}, false},
+		{"range without rect", QueryRequest{Kind: KindRange}, false},
+		{"range inverted rect", QueryRequest{Kind: KindRange, Rect: &[4]float64{1, 1, 0, 0}}, false},
+		{"knn without point", QueryRequest{Kind: KindKNN, K: 3}, false},
+		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}, false},
+		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}, false},
+		{"malformed page token", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 3, PageToken: "not-base64!"}, false},
+		{"stream plus pagination", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, PageSize: 2}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if tc.req.Stream {
-				_, err = client.QueryStream(ctx, tc.req, func(WireMatch) error { return nil })
-			} else {
-				_, err = client.Query(ctx, tc.req)
-			}
-			var se *StatusError
-			if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-				t.Fatalf("got %v, want 400", err)
+			for _, stream := range []bool{false, true} {
+				if tc.streamOnly && !stream {
+					continue
+				}
+				var err error
+				if stream {
+					_, err = client.QueryStream(ctx, tc.req, func(WireMatch) error { return nil })
+				} else {
+					_, err = client.Query(ctx, tc.req)
+				}
+				var se *StatusError
+				if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+					t.Errorf("stream=%v: got %v, want 400", stream, err)
+				}
 			}
 		})
+	}
+	if c, s := backend.collects.Load(), backend.searches.Load(); c != 0 || s != 0 {
+		t.Fatalf("rejected requests reached the backend: %d Collect and %d Search calls, want 0", c, s)
 	}
 }
 
@@ -468,16 +484,27 @@ func TestStreamDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
-// countingBackend counts Close calls; drain must close the store exactly
-// once no matter how many times Shutdown runs.
+// countingBackend counts lifecycle and query calls: drain must close the
+// store exactly once no matter how many times Shutdown runs, and a rejected
+// request must never reach a query method.
 type countingBackend struct {
 	Backend
-	closes atomic.Int32
+	closes, collects, searches atomic.Int32
 }
 
 func (c *countingBackend) Close() error {
 	c.closes.Add(1)
 	return c.Backend.Close()
+}
+
+func (c *countingBackend) Collect(ctx context.Context, q trass.Query) ([]trass.Match, *trass.QueryStats, error) {
+	c.collects.Add(1)
+	return c.Backend.Collect(ctx, q)
+}
+
+func (c *countingBackend) Search(ctx context.Context, q trass.Query, fn func(trass.Match) error) (*trass.QueryStats, error) {
+	c.searches.Add(1)
+	return c.Backend.Search(ctx, q, fn)
 }
 
 // TestDrainGraceful is the drain satellite: an in-flight streaming query

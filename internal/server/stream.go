@@ -3,20 +3,20 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	trass "repro"
 )
 
-// streamQuery runs the streaming path: a 200 header goes out first, then one
-// NDJSON line per match as the refine workers emit it (the
-// ThresholdSearchFunc/RangeSearchFunc seam), then the footer line with the
-// QueryStats — the trailer a chunked response can't carry in headers. Top-k
-// and point-kNN compute their (small, ordered) result set first and stream
-// it out line by line, so every kind shares one wire shape.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
+// streamQuery runs the streaming path for a validated query: a 200 header
+// goes out first, then one NDJSON line per match as Search delivers it, then
+// the footer line with the QueryStats — the trailer a chunked response can't
+// carry in headers. Threshold and range matches are written as the refine
+// workers emit them; top-k and point-kNN compute their (small, ordered)
+// result set first and Search replays it line by line, so every kind shares
+// one wire shape.
+func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	sw := &streamWriter{w: w, enc: json.NewEncoder(w), delay: s.streamDelay}
@@ -26,14 +26,14 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *Qu
 
 	n := 0
 	emit := func(m trass.Match) error {
-		if err := sw.writeLine(ctx, StreamLine{Match: ptr(matchToWire(m, req.IncludePoints))}); err != nil {
+		if err := sw.writeLine(ctx, StreamLine{Match: ptr(matchToWire(m, includePoints))}); err != nil {
 			return err
 		}
 		n++
 		return nil
 	}
 
-	stats, err := s.runStream(ctx, req, emit)
+	stats, err := s.db.Search(ctx, q, emit)
 	if err != nil {
 		// In-band failure: the write error (client gone) or the query error.
 		// Either way the footer carries it; a dead socket just drops it.
@@ -41,38 +41,6 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *Qu
 		return
 	}
 	_ = sw.writeLine(ctx, StreamLine{Done: true, Results: n, Stats: statsToWire(stats)})
-}
-
-// runStream dispatches one streaming query through the emit callback.
-func (s *Server) runStream(ctx context.Context, req *QueryRequest, emit func(trass.Match) error) (*trass.QueryStats, error) {
-	tw := req.timeWindow()
-	switch req.Kind {
-	case KindThreshold:
-		q, err := s.queryTrajectory(req)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		return s.db.ThresholdSearchWindowFunc(ctx, q, req.Eps, tw, emit)
-	case KindRange:
-		rect, err := req.rect()
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		return s.db.RangeSearchWindowFunc(ctx, rect, tw, emit)
-	case KindTopK, KindKNN:
-		matches, stats, err := s.runCollect(ctx, req)
-		if err != nil {
-			return stats, err
-		}
-		for _, m := range matches {
-			if err := emit(m); err != nil {
-				return stats, err
-			}
-		}
-		return stats, nil
-	default:
-		return nil, badRequest(fmt.Errorf("unknown query kind %q", req.Kind))
-	}
 }
 
 // streamWriter writes NDJSON lines, flushing each one so matches reach the

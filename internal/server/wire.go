@@ -8,9 +8,9 @@
 // Wire protocol (all under POST /v1/query):
 //
 //   - Non-streaming (default): one JSON QueryResponse — matches in the same
-//     deterministic order the embedded *SearchContext variants return
-//     (row-key order for threshold/range, ascending distance for
-//     top-k/point-kNN), an optional pagination token, and the QueryStats.
+//     deterministic order the embedded DB.Collect returns (row-key order for
+//     threshold/range, ascending distance for top-k/point-kNN), an optional
+//     pagination token, and the QueryStats.
 //   - Streaming (Stream:true): chunked NDJSON. Each match is one line
 //     {"match":{...}} written as refinement produces it; the final line is a
 //     footer {"done":true,...} carrying the result count, the QueryStats
@@ -31,13 +31,14 @@ import (
 	trass "repro"
 )
 
-// Query kinds: the four query paths trassd serves. The time-window variants
-// are the same kinds with TimeStart/TimeEnd set.
+// Query kinds: the four query paths trassd serves, named as trass.QueryKind
+// names them. The time-window variants are the same kinds with
+// TimeStart/TimeEnd set.
 const (
-	KindThreshold = "threshold"
-	KindTopK      = "topk"
-	KindRange     = "range"
-	KindKNN       = "knn"
+	KindThreshold = string(trass.KindThreshold)
+	KindTopK      = string(trass.KindTopK)
+	KindRange     = string(trass.KindRange)
+	KindKNN       = string(trass.KindKNN)
 )
 
 // QueryRequest is the body of POST /v1/query.

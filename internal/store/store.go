@@ -304,17 +304,9 @@ func (s *Store) dropOldKeyMetaLocked(old []byte) {
 	s.dropValueLocked(v)
 }
 
-// HasValuesIn reports whether any stored trajectory has an index value in
-// [lo, hi). Best-first top-k uses it to skip empty subtrees — the same role
-// an HBase region's key-bound metadata plays.
-func (s *Store) HasValuesIn(lo, hi int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vals := s.sortedValuesLocked()
-	i := sort.Search(len(vals), func(i int) bool { return vals[i] >= lo })
-	return i < len(vals) && vals[i] < hi
-}
-
+// sortedValuesLocked returns the sorted distinct index values; Snapshot
+// copies it so best-first top-k can skip empty subtrees — the same role an
+// HBase region's key-bound metadata plays.
 func (s *Store) sortedValuesLocked() []int64 {
 	if s.valuesDirty || s.sortedValues == nil {
 		// Full rebuild: only the recovery path sets valuesDirty now; writes
@@ -467,53 +459,10 @@ func (s *Store) Selectivity() float64 {
 	return float64(len(s.values)) / float64(s.count)
 }
 
-// ScanRanges scans the given index-value ranges across every shard with an
-// optional server-side filter pushed down into the regions. This is the
-// storage half of Algorithm 3. ctx cancels the scan; with
-// Config.DegradedScans a region failure degrades the result (see
-// cluster.ScanRequest.AllowPartial) instead of failing it.
-func (s *Store) ScanRanges(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
-	keyRanges, err := s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return s.cluster.Scan(ctx, cluster.ScanRequest{
-		Ranges:       keyRanges,
-		Filter:       filter,
-		Limit:        limit,
-		AllowPartial: s.cfg.DegradedScans,
-	})
-}
-
 // StreamOptions shape a streaming range scan (see cluster.StreamRequest for
 // the semantics of each knob).
 type StreamOptions struct {
-	BatchRows  int
-	QueueDepth int
-	Ordered    bool
-}
-
-// ScanRangesStream is the streaming form of ScanRanges: rows are delivered
-// to emit in bounded batches as regions produce them, and the returned
-// ScanResult carries the incrementally-accumulated accounting (Entries is
-// nil). emit owns each batch and is never called concurrently; an error from
-// emit aborts the scan and surfaces verbatim.
-func (s *Store) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int, opt StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-	keyRanges, err := s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return s.cluster.ScanStream(ctx, cluster.StreamRequest{
-		ScanRequest: cluster.ScanRequest{
-			Ranges:       keyRanges,
-			Filter:       filter,
-			Limit:        limit,
-			AllowPartial: s.cfg.DegradedScans,
-		},
-		BatchRows:  opt.BatchRows,
-		QueueDepth: opt.QueueDepth,
-		Ordered:    opt.Ordered,
-	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
+	Ordered bool
 }
 
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges.

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/geo"
+	"repro/internal/kv"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
 )
@@ -20,6 +22,35 @@ func walk(rng *rand.Rand, id string, n int, scale float64) *traj.Trajectory {
 		y += (rng.Float64() - 0.5) * scale
 	}
 	return traj.New(id, pts)
+}
+
+// scanAll reads the given value ranges through a fresh snapshot; see
+// scanSnapshot.
+func scanAll(t *testing.T, s *Store, ranges []xzstar.ValueRange, filter cluster.Filter) *cluster.ScanResult {
+	t.Helper()
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	return scanSnapshot(t, snap, ranges, filter)
+}
+
+// scanSnapshot streams the given value ranges from snap in key order and
+// returns the scan's accounting with Entries filled in.
+func scanSnapshot(t *testing.T, snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter) *cluster.ScanResult {
+	t.Helper()
+	var rows []kv.Entry
+	res, err := snap.ScanRangesStream(context.Background(), ranges, filter, 0,
+		StreamOptions{Ordered: true}, func(batch []kv.Entry) error {
+			rows = append(rows, batch...)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Entries = rows
+	return res
 }
 
 func newTestStore(t *testing.T, cfg Config) *Store {
@@ -70,10 +101,7 @@ func TestPutAndScanRoundTrip(t *testing.T) {
 		t.Fatalf("count = %d", s.Count())
 	}
 	// Scan everything back through the value domain.
-	res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := scanAll(t, s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil)
 	if len(res.Entries) != 50 {
 		t.Fatalf("scanned %d rows, want 50", len(res.Entries))
 	}
@@ -109,10 +137,7 @@ func TestScanRangeSelectsByValue(t *testing.T) {
 	}
 	// Pick one trajectory's value and scan just it.
 	for id, v := range vals {
-		res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := scanAll(t, s, []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil)
 		found := false
 		for _, e := range res.Entries {
 			rec, _ := DecodeRow(e.Value)
@@ -138,16 +163,12 @@ func TestServerSideFilterPushdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.ScanRanges(
-		context.Background(),
+	res := scanAll(t, s,
 		[]xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}},
 		func(key, value []byte) bool {
 			rec, err := DecodeRow(value)
 			return err == nil && rec.ID < "t010"
-		}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+		})
 	if len(res.Entries) != 10 {
 		t.Fatalf("filtered rows = %d, want 10", len(res.Entries))
 	}
@@ -175,10 +196,7 @@ func TestShardingSpreadsData(t *testing.T) {
 		_ = r
 	}
 	counts := make(map[int]int)
-	res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := scanAll(t, s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil)
 	for _, e := range res.Entries {
 		counts[int(e.Key[0])]++
 	}
@@ -211,7 +229,13 @@ func TestStringEncoding(t *testing.T) {
 		t.Fatalf("integer keys (%.1f B) must beat string keys (%.1f B)", intB, strB)
 	}
 	// String-encoded stores cannot plan range scans.
-	if _, err := strStore.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil, 0); err == nil {
+	snap, err := strStore.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if _, err := snap.ScanRangesStream(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil, 0,
+		StreamOptions{}, func([]kv.Entry) error { return nil }); err == nil {
 		t.Fatal("string encoding must reject range scans")
 	}
 }
@@ -265,14 +289,19 @@ func TestHasValuesIn(t *testing.T) {
 	if err := s.Put(tr); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
 	v := s.Index().Assign(tr.Points).Value
-	if !s.HasValuesIn(v, v+1) {
+	if !snap.HasValuesIn(v, v+1) {
 		t.Fatal("stored value not found")
 	}
-	if s.HasValuesIn(v+1, v+100) {
+	if snap.HasValuesIn(v+1, v+100) {
 		t.Fatal("phantom values")
 	}
-	if !s.HasValuesIn(0, s.Index().TotalIndexSpaces()) {
+	if !snap.HasValuesIn(0, s.Index().TotalIndexSpaces()) {
 		t.Fatal("full range must contain the value")
 	}
 }
@@ -314,14 +343,8 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 		}
 	}
 	full := []xzstar.ValueRange{{Lo: 0, Hi: single.Index().TotalIndexSpaces()}}
-	res1, err := single.ScanRanges(context.Background(), full, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := batched.ScanRanges(context.Background(), full, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := scanAll(t, single, full, nil)
+	res2 := scanAll(t, batched, full, nil)
 	if len(res1.Entries) != len(res2.Entries) {
 		t.Fatalf("scan rows %d vs %d", len(res1.Entries), len(res2.Entries))
 	}

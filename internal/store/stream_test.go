@@ -19,11 +19,7 @@ import (
 // id, along with their row keys.
 func dataRowsFor(t *testing.T, s *Store, id string) ([]*traj.Record, [][]byte) {
 	t.Helper()
-	res, err := s.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := scanAll(t, s, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil)
 	var recs []*traj.Record
 	var keys [][]byte
 	for _, e := range res.Entries {
@@ -120,11 +116,7 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 
 	// Ground truth: the distinct index values of the data rows in the same
 	// snapshot, decoded from the row keys (shard byte + 8-byte value).
-	res, err := snap.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := scanSnapshot(t, snap, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil)
 	distinct := make(map[int64]bool)
 	for _, e := range res.Entries {
 		if len(e.Key) < 1+8+1 {
@@ -157,8 +149,9 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 	}
 }
 
-// ScanRangesStream must deliver exactly the rows ScanRanges collects, batch
-// by batch, honoring the batch size and the limit.
+// An unordered snapshot stream delivers exactly the rows an ordered one
+// does, the ordered stream arrives in strictly increasing key order, and a
+// limit cuts the ordered stream at an exact count.
 func TestScanRangesStream(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 4})
 	rng := rand.New(rand.NewSource(92))
@@ -168,17 +161,26 @@ func TestScanRangesStream(t *testing.T) {
 		}
 	}
 	ranges := []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}
-	want, err := s.ScanRanges(context.Background(), ranges, nil, 0)
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Close()
+	want := scanSnapshot(t, snap, ranges, nil)
+	if len(want.Entries) != 50 {
+		t.Fatalf("ordered stream delivered %d rows, want 50", len(want.Entries))
+	}
+	wantKeys := make([]string, len(want.Entries))
+	for i, e := range want.Entries {
+		wantKeys[i] = string(e.Key)
+		if i > 0 && wantKeys[i-1] >= wantKeys[i] {
+			t.Fatalf("ordered stream out of key order at %d", i)
+		}
+	}
+
 	var streamed []string
-	maxBatch := 0
-	res, err := s.ScanRangesStream(context.Background(), ranges, nil, 0,
-		StreamOptions{BatchRows: 8}, func(batch []kv.Entry) error {
-			if len(batch) > maxBatch {
-				maxBatch = len(batch)
-			}
+	res, err := snap.ScanRangesStream(context.Background(), ranges, nil, 0,
+		StreamOptions{}, func(batch []kv.Entry) error {
 			for _, e := range batch {
 				streamed = append(streamed, string(e.Key))
 			}
@@ -187,19 +189,11 @@ func TestScanRangesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxBatch > 8 {
-		t.Fatalf("batch of %d rows exceeds BatchRows=8", maxBatch)
-	}
-	if int64(len(streamed)) != want.RowsReturned || res.RowsReturned != want.RowsReturned {
-		t.Fatalf("streamed %d rows (res %d), ScanRanges returned %d",
+	if len(streamed) != len(wantKeys) || res.RowsReturned != want.RowsReturned {
+		t.Fatalf("streamed %d rows (res %d), ordered stream returned %d",
 			len(streamed), res.RowsReturned, want.RowsReturned)
 	}
-	wantKeys := make([]string, len(want.Entries))
-	for i, e := range want.Entries {
-		wantKeys[i] = string(e.Key)
-	}
 	sort.Strings(streamed)
-	sort.Strings(wantKeys)
 	for i := range wantKeys {
 		if streamed[i] != wantKeys[i] {
 			t.Fatalf("streamed key set diverges at %d: %q vs %q", i, streamed[i], wantKeys[i])
@@ -208,8 +202,8 @@ func TestScanRangesStream(t *testing.T) {
 
 	// Limit: ordered, exact count.
 	n := 0
-	if _, err := s.ScanRangesStream(context.Background(), ranges, nil, 9,
-		StreamOptions{BatchRows: 4}, func(batch []kv.Entry) error {
+	if _, err := snap.ScanRangesStream(context.Background(), ranges, nil, 9,
+		StreamOptions{}, func(batch []kv.Entry) error {
 			n += len(batch)
 			return nil
 		}); err != nil {

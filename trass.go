@@ -16,8 +16,13 @@
 //	db, err := trass.Open("/data/taxis", trass.WithShards(8))
 //	...
 //	db.Put(trass.NewTrajectory("cab-42", points))
-//	matches, err := db.ThresholdSearch(query, 0.005)
-//	nearest, err := db.TopKSearch(query, 50)
+//	matches, stats, err := db.Collect(ctx, trass.Query{Kind: trass.KindThreshold, Traj: q, Eps: 0.005})
+//	nearest, _, err := db.Collect(ctx, trass.Query{Kind: trass.KindTopK, Traj: q, K: 50})
+//
+// Every query is one Query value and runs through one of two calls: Collect
+// returns the results in a deterministic order, Search streams them to a
+// callback as refinement produces them. Query.Validate rejects a malformed
+// request with an error wrapping ErrInvalidQuery.
 //
 // Coordinates live on the normalized plane [0,1)². Use NormalizeLonLat for
 // longitude/latitude data. Three similarity measures are supported: discrete
@@ -26,7 +31,6 @@ package trass
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -96,8 +100,6 @@ type Option func(*store.Config, *config)
 type config struct {
 	measure           Measure
 	refineParallelism int
-	streamBatch       int
-	streamQueueDepth  int
 }
 
 // WithShards sets the row-key hash fan-out (default 8, the paper's value).
@@ -136,27 +138,6 @@ func WithParallelism(n int) Option {
 // changes. QueryStats.RefineWorkers reports the pool size a query used.
 func WithRefineParallelism(n int) Option {
 	return func(_ *store.Config, c *config) { c.refineParallelism = n }
-}
-
-// WithStreamBatch sets how many rows each region scan batches before handing
-// them to the query pipeline (default 64). Queries stream candidates from
-// the region scans straight into refinement; smaller batches shorten the
-// time to the first refined candidate, larger ones amortize hand-off
-// overhead. Results are identical for any value.
-func WithStreamBatch(rows int) Option {
-	return func(_ *store.Config, c *config) { c.streamBatch = rows }
-}
-
-// WithStreamQueueDepth bounds how many candidate rows may be in flight
-// between the storage scans and refinement — queued, being refined, or
-// awaiting their in-order merge (default: a small multiple of the refine
-// worker count). This is the query pipeline's memory bound and its
-// backpressure knob: when refinement falls behind, a full queue blocks the
-// region scans rather than buffering the backlog. Results are identical for
-// any depth; QueryStats.StreamPeakDepth reports the high-water mark a query
-// actually reached.
-func WithStreamQueueDepth(n int) Option {
-	return func(_ *store.Config, c *config) { c.streamQueueDepth = n }
 }
 
 // WithSyncWrites makes every acknowledged write durable before Put returns
@@ -207,8 +188,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	}
 	eng := query.New(st, c.measure)
 	eng.SetRefineParallelism(c.refineParallelism)
-	eng.SetStreamBatch(c.streamBatch)
-	eng.SetStreamQueueDepth(c.streamQueueDepth)
 	return &DB{store: st, engine: eng}, nil
 }
 
@@ -250,212 +229,87 @@ func (db *DB) Get(id string) (*Trajectory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trajectory{ID: rec.ID, Points: rec.Points}, nil
+	return &Trajectory{ID: rec.ID, Points: rec.Points, Times: rec.Times}, nil
 }
 
-// ThresholdSearch returns every stored trajectory within eps of q under the
-// database's measure (Definition 3 of the paper).
-func (db *DB) ThresholdSearch(q *Trajectory, eps float64) ([]Match, error) {
-	ms, _, err := db.ThresholdSearchStats(q, eps)
-	return ms, err
-}
+// Query is one search request; its Kind selects which other fields apply.
+// Threshold (Definition 3 of the paper) reads Traj, Eps and Window; top-k
+// (Definition 4) reads Traj, K and Window; range reads Rect and Window and
+// returns matches without a distance; knn (closest approach to Point) reads
+// Point and K.
+type Query = query.Query
 
-// ThresholdSearchStats is ThresholdSearch plus per-query statistics.
-func (db *DB) ThresholdSearchStats(q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
-	return db.ThresholdSearchContext(context.Background(), q, eps)
-}
+// QueryKind names a query type; its values are the wire names trassd
+// accepts.
+type QueryKind = query.Kind
 
-// ThresholdSearchContext is ThresholdSearchStats under a context:
-// cancellation aborts the storage scans and surfaces ctx's error.
-func (db *DB) ThresholdSearchContext(ctx context.Context, q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, stats, err := db.engine.ThresholdContext(ctx, q, eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
+// The four query kinds.
+const (
+	KindThreshold = query.KindThreshold
+	KindTopK      = query.KindTopK
+	KindRange     = query.KindRange
+	KindKNN       = query.KindKNN
+)
 
-// ThresholdSearchFunc is ThresholdSearch with streaming delivery: each match
-// is passed to fn as refinement produces it, so memory stays bounded by the
-// stream queue depth no matter how many trajectories match. Delivery order
-// is unspecified (it follows refinement completion, not key order). A
-// non-nil error from fn aborts the search and is returned as-is.
-func (db *DB) ThresholdSearchFunc(ctx context.Context, q *Trajectory, eps float64, fn func(Match) error) (*QueryStats, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	return db.engine.ThresholdFunc(ctx, q, eps, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// RangeSearchFunc is RangeSearch with streaming delivery; see
-// ThresholdSearchFunc for the contract. Matches carry no distance.
-func (db *DB) RangeSearchFunc(ctx context.Context, window Rect, fn func(Match) error) (*QueryStats, error) {
-	return db.engine.RangeFunc(ctx, window, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// TopKSearch returns the k stored trajectories nearest to q, ascending by
-// distance (Definition 4 of the paper).
-func (db *DB) TopKSearch(q *Trajectory, k int) ([]Match, error) {
-	ms, _, err := db.TopKSearchStats(q, k)
-	return ms, err
-}
-
-// TopKSearchStats is TopKSearch plus per-query statistics.
-func (db *DB) TopKSearchStats(q *Trajectory, k int) ([]Match, *QueryStats, error) {
-	return db.TopKSearchContext(context.Background(), q, k)
-}
-
-// TopKSearchContext is TopKSearchStats under a context: cancellation aborts
-// the storage scans and surfaces ctx's error.
-func (db *DB) TopKSearchContext(ctx context.Context, q *Trajectory, k int) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.TopKContext(ctx, q, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
+// ErrInvalidQuery wraps every error a malformed Query produces.
+var ErrInvalidQuery = query.ErrInvalidQuery
 
 // Rect is an axis-parallel window on the normalized plane.
 type Rect = geo.Rect
 
-// RangeSearch returns every stored trajectory with at least one point inside
-// window (the spatial range query the paper's conclusion mentions XZ* also
-// supports). Matches carry no distance.
-func (db *DB) RangeSearch(window Rect) ([]Match, error) {
-	rs, _, err := db.engine.Range(window)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
+// Search runs q and passes each match to fn, which must be non-nil.
+// Threshold and range matches arrive as refinement produces them, so memory
+// stays bounded by the stream queue depth no matter how many trajectories
+// match; their order follows refinement completion, not key order. Top-k
+// and knn matches arrive in ascending distance once the search ends. A
+// non-nil error from fn aborts the search and is returned as-is.
+// Cancelling ctx aborts the storage scans and surfaces ctx's error.
+func (db *DB) Search(ctx context.Context, q Query, fn func(Match) error) (*QueryStats, error) {
+	_, stats, err := db.engine.Run(ctx, q, func(r query.Result) error {
+		return fn(toMatch(r))
+	})
+	return stats, err
 }
 
-// RangeSearchContext is RangeSearch under a context, plus per-query
-// statistics: cancellation aborts the storage scans and surfaces ctx's error.
+// Collect runs q and returns every match in a deterministic order: row key
+// for threshold and range, ascending distance for top-k and knn.
+// Cancelling ctx aborts the storage scans and surfaces ctx's error.
+func (db *DB) Collect(ctx context.Context, q Query) ([]Match, *QueryStats, error) {
+	rs, stats, err := db.engine.Run(ctx, q, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return toMatches(rs), stats, nil
+}
+
+// ThresholdSearchContext is Collect for a threshold query.
+func (db *DB) ThresholdSearchContext(ctx context.Context, q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
+	return db.Collect(ctx, Query{Kind: KindThreshold, Traj: q, Eps: eps})
+}
+
+// TopKSearchContext is Collect for a top-k query.
+func (db *DB) TopKSearchContext(ctx context.Context, q *Trajectory, k int) ([]Match, *QueryStats, error) {
+	return db.Collect(ctx, Query{Kind: KindTopK, Traj: q, K: k})
+}
+
+// RangeSearchContext is Collect for a range query.
 func (db *DB) RangeSearchContext(ctx context.Context, window Rect) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.RangeContext(ctx, window)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
+	return db.Collect(ctx, Query{Kind: KindRange, Rect: window})
 }
 
-// ThresholdSearchWindow is ThresholdSearch restricted to trajectories
-// observed within the time window.
-func (db *DB) ThresholdSearchWindow(q *Trajectory, eps float64, w TimeWindow) ([]Match, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, _, err := db.engine.ThresholdWindow(q, eps, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// ThresholdSearchWindowContext is ThresholdSearchWindow under a context,
-// plus per-query statistics. The serving layer (cmd/trassd) maps per-request
-// deadlines and client disconnects onto queries through these variants.
-func (db *DB) ThresholdSearchWindowContext(ctx context.Context, q *Trajectory, eps float64, w TimeWindow) ([]Match, *QueryStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, stats, err := db.engine.ThresholdWindowContext(ctx, q, eps, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// ThresholdSearchWindowFunc is ThresholdSearchFunc restricted to the time
-// window; see ThresholdSearchFunc for the streaming contract.
-func (db *DB) ThresholdSearchWindowFunc(ctx context.Context, q *Trajectory, eps float64, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	return db.engine.ThresholdWindowFunc(ctx, q, eps, w, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// TopKSearchWindow returns the k nearest trajectories among those observed
-// within the time window.
-func (db *DB) TopKSearchWindow(q *Trajectory, k int, w TimeWindow) ([]Match, error) {
-	rs, _, err := db.engine.TopKWindow(q, k, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// TopKSearchWindowContext is TopKSearchWindow under a context, plus
-// per-query statistics.
-func (db *DB) TopKSearchWindowContext(ctx context.Context, q *Trajectory, k int, w TimeWindow) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.TopKWindowContext(ctx, q, k, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// RangeSearchWindow is RangeSearch restricted to trajectories observed
-// within the time window.
-func (db *DB) RangeSearchWindow(window Rect, w TimeWindow) ([]Match, error) {
-	rs, _, err := db.engine.RangeWindow(window, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// RangeSearchWindowContext is RangeSearchWindow under a context, plus
-// per-query statistics.
-func (db *DB) RangeSearchWindowContext(ctx context.Context, window Rect, w TimeWindow) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.RangeWindowContext(ctx, window, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// RangeSearchWindowFunc is RangeSearchFunc restricted to the time window;
-// see ThresholdSearchFunc for the streaming contract.
-func (db *DB) RangeSearchWindowFunc(ctx context.Context, window Rect, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
-	return db.engine.RangeWindowFunc(ctx, window, w, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// NearestSearch returns the k stored trajectories whose closest approach to
-// point p is smallest, ascending by that distance.
-func (db *DB) NearestSearch(p Point, k int) ([]Match, error) {
-	rs, _, err := db.engine.NearestToPoint(p, k)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// NearestSearchContext is NearestSearch under a context, plus per-query
-// statistics: cancellation aborts the storage scans and surfaces ctx's error.
+// NearestSearchContext is Collect for a knn query.
 func (db *DB) NearestSearchContext(ctx context.Context, p Point, k int) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.NearestToPointContext(ctx, p, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
+	return db.Collect(ctx, Query{Kind: KindKNN, Point: p, K: k})
+}
+
+func toMatch(r query.Result) Match {
+	return Match{ID: r.ID, Distance: r.Distance, Points: r.Points}
 }
 
 func toMatches(rs []query.Result) []Match {
 	out := make([]Match, len(rs))
 	for i, r := range rs {
-		out[i] = Match{ID: r.ID, Distance: r.Distance, Points: r.Points}
+		out[i] = toMatch(r)
 	}
 	return out
 }

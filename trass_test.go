@@ -38,7 +38,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	q := data[42]
 	eps := gen.DegreesToNorm(0.01)
 
-	matches, stats, err := db.ThresholdSearchStats(q, eps)
+	matches, stats, err := db.Collect(context.Background(), Query{Kind: KindThreshold, Traj: q, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("stats mismatch")
 	}
 
-	top, err := db.TopKSearch(q, 10)
+	top, _, err := db.Collect(context.Background(), Query{Kind: KindTopK, Traj: q, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestThresholdMatchesBruteOnPublicAPI(t *testing.T) {
 			if m == DTW {
 				eps *= 20
 			}
-			got, err := db.ThresholdSearch(q, eps)
+			got, _, err := db.Collect(context.Background(), Query{Kind: KindThreshold, Traj: q, Eps: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 	db := openTestDB(t)
 	q := NewTrajectory("q", []Point{{X: 0.5, Y: 0.5}})
-	if _, err := db.ThresholdSearch(q, -1); err == nil {
+	if _, _, err := db.Collect(context.Background(), Query{Kind: KindThreshold, Traj: q, Eps: -1}); !errors.Is(err, ErrInvalidQuery) {
 		t.Fatal("negative threshold must fail")
 	}
 }
@@ -152,7 +152,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	defer db2.Close()
 	// Rows persist in the KV substrate across restarts; a top-k for a stored
 	// trajectory must find it at distance 0.
-	top, err := db2.TopKSearch(data[0], 1)
+	top, _, err := db2.Collect(context.Background(), Query{Kind: KindTopK, Traj: data[0], K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRangeSearchPublicAPI(t *testing.T) {
 		Min: Point{X: p.X - 1e-6, Y: p.Y - 1e-6},
 		Max: Point{X: p.X + 1e-6, Y: p.Y + 1e-6},
 	}
-	matches, err := db.RangeSearch(window)
+	matches, _, err := db.Collect(context.Background(), Query{Kind: KindRange, Rect: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCompactAndOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries still exact after compaction.
-	top, err := db.TopKSearch(data[3], 1)
+	top, _, err := db.Collect(context.Background(), Query{Kind: KindTopK, Traj: data[3], K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRefineParallelismOption(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		ms, stats, err := db.ThresholdSearchStats(q, 0.01)
+		ms, stats, err := db.Collect(context.Background(), Query{Kind: KindThreshold, Traj: q, Eps: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestRandomizedPublicAPIAgainstBrute(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		q := data[rng.Intn(len(data))]
 		k := 1 + rng.Intn(20)
-		got, err := db.TopKSearch(q, k)
+		got, _, err := db.Collect(context.Background(), Query{Kind: KindTopK, Traj: q, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,6 +312,73 @@ func TestGetByID(t *testing.T) {
 	if _, err := db.Get(data[7].ID); err != nil {
 		t.Fatalf("after flush: %v", err)
 	}
+	// Timestamps survive the round trip.
+	pts := []Point{{X: 0.2, Y: 0.2}, {X: 0.21, Y: 0.2}, {X: 0.22, Y: 0.21}}
+	times := []int64{1000, 1060, 1120}
+	if err := db.Put(NewTimedTrajectory("timed", pts, times)); err != nil {
+		t.Fatal(err)
+	}
+	timed, err := db.Get("timed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timed.Len() != len(pts) || !reflect.DeepEqual(timed.Times, times) {
+		t.Fatalf("Get lost the timed trajectory: points %v times %v", timed.Points, timed.Times)
+	}
+}
+
+// Search streams the same matches Collect returns (threshold and range in
+// completion order, top-k and knn in Collect's order), and a sink error
+// aborts the query and comes back as-is.
+func TestSearchMatchesCollect(t *testing.T) {
+	db := openTestDB(t)
+	data := gen.TDrive(gen.TDriveOptions{Seed: 13, N: 300})
+	if err := db.PutBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := data[5]
+	for _, qu := range []Query{
+		{Kind: KindThreshold, Traj: q, Eps: gen.DegreesToNorm(0.05)},
+		{Kind: KindTopK, Traj: q, K: 8},
+		{Kind: KindRange, Rect: q.MBR()},
+		{Kind: KindKNN, Point: q.Points[0], K: 8},
+	} {
+		want, _, err := db.Collect(ctx, qu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: vacuous query", qu.Kind)
+		}
+		var got []Match
+		stats, err := db.Search(ctx, qu, func(m Match) error {
+			got = append(got, m)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Results != len(want) {
+			t.Errorf("%s: stats.Results = %d, want %d", qu.Kind, stats.Results, len(want))
+		}
+		if qu.Kind == KindThreshold || qu.Kind == KindRange {
+			sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+			want = append([]Match(nil), want...)
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Search delivered %d matches that differ from Collect's %d", qu.Kind, len(got), len(want))
+		}
+
+		sentinel := errors.New("enough")
+		if _, err := db.Search(ctx, qu, func(Match) error { return sentinel }); !errors.Is(err, sentinel) {
+			t.Errorf("%s: aborted Search returned %v, want the callback's error", qu.Kind, err)
+		}
+	}
+	if _, err := db.Search(ctx, Query{Kind: "nearest"}, func(Match) error { return nil }); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("unknown kind: %v, want ErrInvalidQuery", err)
+	}
 }
 
 func TestDurabilityAndContextOptions(t *testing.T) {
@@ -341,6 +408,9 @@ func TestDurabilityAndContextOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := db.RangeSearchContext(context.Background(), q.MBR()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.NearestSearchContext(context.Background(), q.Points[0], 5); err != nil {
 		t.Fatal(err)
 	}
 
